@@ -10,7 +10,6 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 #: Distinguished valuation of 0 (larger than any finite valuation).
 INFINITY = math.inf
@@ -259,7 +258,3 @@ def exact_div(a: int, b: int) -> int:
     if r:
         raise ArithmeticError_(f"{a} not divisible by {b}")
     return q
-
-
-def frac(a, b=1) -> Fraction:
-    return Fraction(a, b)

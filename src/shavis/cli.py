@@ -1,8 +1,14 @@
 """Command-line surface: inspect curves, verify scenarios, replay the worked
 examples.
 
+    shavis inspect "[a1,a2,a3,a4,a6]" [--json]
+    shavis verify SCENARIO.json [--out FILE] [--mode M] [--evidence E]
+                                [--dataset PATH] [--cache DIR]
+    shavis examples [NAME | --all] [--dataset PATH]
+
 Exit codes: 0 ok/certified, 2 input error, 3 hypothesis failure, 4 partial
-certificate (missing assertions), 5 internal error.
+certificate (missing rank records or assertions), 5 internal error. The
+remote rank tier stays off unless SHAVIS_OFFLINE=0 is exported.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import arith, curves, dataio, localdata, scenario as scenario_mod, visibility
@@ -96,17 +101,9 @@ def _fact_str(n: int) -> str:
     )
 
 
-def _verify_one(scn, dataset):
-    cert = visibility.verify_scenario(scn, dataset)
-    return cert
-
-
-def _network_enabled(args) -> bool:
-    """The remote rank tier is opt-in: --offline (the default) keeps it off;
-    exporting SHAVIS_OFFLINE=0 enables it."""
-    if getattr(args, "offline", True):
-        return os.environ.get(dataio.ENV_OFFLINE, "") in ("0", "false")
-    return True
+def _network_enabled() -> bool:
+    """The remote rank tier is opt-in: exporting SHAVIS_OFFLINE=0 enables it."""
+    return os.environ.get(dataio.ENV_OFFLINE, "") in ("0", "false")
 
 
 def cmd_verify(args) -> int:
@@ -121,7 +118,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     remote = None
-    if _network_enabled(args):
+    if _network_enabled():
         remote = dataio.RemoteClient(cache_dir=args.cache)
     try:
         cert = visibility.verify_scenario(scn, dataset, remote)
@@ -165,14 +162,10 @@ def cmd_examples(args) -> int:
               file=sys.stderr)
         return EXIT_INPUT
     dataset = _load_dataset(args)
-    scns = [scenario_mod.load_bundled_scenario(n) for n in names]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            certs = list(pool.map(lambda s: _verify_one(s, dataset), scns))
-    else:
-        certs = [_verify_one(s, dataset) for s in scns]
+    certs = [visibility.verify_scenario(scenario_mod.load_bundled_scenario(n), dataset)
+             for n in names]
     ok = True
-    for cert in sorted(certs, key=lambda c: names.index(c.scenario.name)):
+    for cert in certs:
         expect = EXAMPLE_EXPECTATIONS[cert.scenario.name]
         good = cert.overall == expect["overall"]
         for key in ("min_visible_order", "image_rank"):
@@ -185,7 +178,7 @@ def cmd_examples(args) -> int:
         if not good:
             print(f"      expected {expect}, got overall={cert.overall} "
                   f"conclusion={cert.conclusion}")
-    print(f"{sum(1 for c in certs if c)} scenario(s) run; {'all pass' if ok else 'MISMATCH'}")
+    print(f"{len(certs)} scenario(s) run; {'all pass' if ok else 'MISMATCH'}")
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -209,9 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--evidence", choices=["summary", "full"])
     p_verify.add_argument("--dataset", help="alternate curve dataset path")
     p_verify.add_argument("--cache", help="cache directory for remote fetches")
-    p_verify.add_argument("--offline", action="store_true", default=True,
-                          help="never touch the network (default)")
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.set_defaults(func=cmd_verify)
 
     p_ex = sub.add_parser("examples", help="replay the bundled worked examples")
@@ -219,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="ex1 | 493 | 203 | 176 | ex5 | a scenario name | all")
     p_ex.add_argument("--all", dest="name", action="store_const", const="all")
     p_ex.add_argument("--dataset", help="alternate curve dataset path")
-    p_ex.add_argument("--jobs", type=int, default=1)
     p_ex.set_defaults(func=cmd_examples)
 
     return ap

@@ -21,8 +21,7 @@ from pathlib import Path
 from . import arith, curves, fields, localdata
 from .arith import ArithmeticError_
 from .curves import WeierstrassModel
-
-TORSION_MAX_ORDER = 12  # Mazur bound over Q
+from .hecke import TORSION_MAX_ORDER, ModCurve
 
 
 class DatasetError(ValueError):
@@ -223,121 +222,19 @@ def is_torsion_exact(model: WeierstrassModel, pt: Point | None) -> bool:
     return False
 
 
-class _ModCurve:
-    """Reduction of an integral model at a good odd prime, for cheap filters.
-
-    E(Q)_tors injects into E(F_q) for odd q of good reduction, so a point
-    whose reduction has order > 12 is certainly non-torsion; only reductions
-    of small order fall back to exact arithmetic.
-    """
-
-    def __init__(self, model: WeierstrassModel, q: int):
-        self.q = q
-        self.a = tuple(int(x) % q for x in model.int_ainvs())
-        self._small_set = None
-
-    def reduce(self, pt: Point | None):
-        if pt is None:
-            return None
-        q = self.q
-        x, y = pt
-        if x.denominator % q == 0 or y.denominator % q == 0:
-            return None  # lands in the kernel of reduction
-        return (
-            x.numerator * pow(x.denominator, -1, q) % q,
-            y.numerator * pow(y.denominator, -1, q) % q,
-        )
-
-    def add(self, p1, p2):
-        if p1 is None:
-            return p2
-        if p2 is None:
-            return p1
-        a1, a2, a3, a4, a6 = self.a
-        q = self.q
-        x1, y1 = p1
-        x2, y2 = p2
-        if x1 == x2:
-            if (y1 + y2 + a1 * x1 + a3) % q == 0:
-                return None
-            lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * pow(
-                (2 * y1 + a1 * x1 + a3) % q, -1, q
-            ) % q
-        else:
-            lam = (y2 - y1) * pow((x2 - x1) % q, -1, q) % q
-        nu = (y1 - lam * x1) % q
-        x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % q
-        y3 = (-(lam + a1) * x3 - nu - a3) % q
-        return (x3, y3)
-
-    def mul(self, k, pt):
-        if pt is None:
-            return None
-        if k < 0:
-            a1, _, a3, _, _ = self.a
-            pt = (pt[0], (-pt[1] - a1 * pt[0] - a3) % self.q)
-            k = -k
-        acc, base = None, pt
-        while k:
-            if k & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
-            k >>= 1
-        return acc
-
-    def small_order(self, pt) -> bool:
-        """Does the reduced point have order <= TORSION_MAX_ORDER?"""
-        acc = pt
-        for _ in range(1, TORSION_MAX_ORDER + 1):
-            if acc is None:
-                return True
-            acc = self.add(acc, pt)
-        return False
-
-    def small_order_set(self) -> set:
-        """All points of E(F_q) of order <= TORSION_MAX_ORDER (incl. identity)."""
-        if self._small_set is not None:
-            return self._small_set
-        a1, a2, a3, a4, a6 = self.a
-        q = self.q
-        sqrt_table = {}
-        for z in range((q + 1) // 2):
-            sqrt_table.setdefault(z * z % q, z)
-        inv2 = pow(2, -1, q)
-        small = {None}
-        for x in range(q):
-            rhs = (
-                4 * x**3
-                + (a1 * a1 + 4 * a2) * x * x
-                + 2 * (a1 * a3 + 2 * a4) * x
-                + (a3 * a3 + 4 * a6)
-            ) % q
-            s = sqrt_table.get(rhs)
-            if s is None:
-                continue
-            for sign in (s, (-s) % q):
-                pt = (x, (sign - a1 * x - a3) * inv2 % q)
-                if self.small_order(pt):
-                    small.add(pt)
-                if s == 0:
-                    break
-        self._small_set = small
-        return small
-
-
-def _filter_curves(model: WeierstrassModel) -> list[_ModCurve]:
+def _filter_curves(model: WeierstrassModel) -> list[ModCurve]:
     disc = int(curves.invariants(model).disc)
     out = []
     for q in arith.primes(20000):
         if q > 1000 and disc % q != 0:
-            out.append(_ModCurve(model, q))
+            out.append(ModCurve(model.int_ainvs(), q))
             if len(out) == 3:
                 return out
     raise ArithmeticError_("no good filter primes found")  # unreachable
 
 
 def is_torsion(model: WeierstrassModel, pt: Point | None,
-               filters: list[_ModCurve] | None = None) -> bool:
+               filters: list[ModCurve] | None = None) -> bool:
     """Torsion test: reduction filter first, exact multiples only if needed."""
     if pt is None:
         return True
@@ -409,7 +306,7 @@ def _combination_is_trivial_exact(model, pts, coeffs) -> bool:
 
 
 def _select_independent(model, pts: list[Point], window: int,
-                        filters: list[_ModCurve]) -> list[Point]:
+                        filters: list[ModCurve]) -> list[Point]:
     """Greedy selection of up to 3 points with no small integer relation.
 
     A relation sum(m_i P_i) = torsion survives reduction at good primes, so

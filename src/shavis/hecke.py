@@ -3,6 +3,8 @@
 Below the naive threshold we count with a quadratic-residue table in O(q);
 above it a baby-step giant-step order search in the Hasse interval takes
 over (Mestre style, with deterministic point selection so runs repeat).
+ModCurve is the one mod-q group law: the order search runs on it, and so do
+the torsion filters of the rational point search in dataio.
 Bad primes use the standard rules: +-1 for multiplicative reduction, 0 for
 additive; multiplicative splitness can also be read off a direct nonsingular
 point count, which the tests use as an independent oracle against Tate.
@@ -19,6 +21,7 @@ from .curves import WeierstrassModel
 
 NAIVE_LIMIT = 10_000
 HARD_LIMIT = 10_000_000
+TORSION_MAX_ORDER = 12  # Mazur bound over Q
 
 
 class BadReductionError(ValueError):
@@ -91,66 +94,146 @@ def _short_mod(model: WeierstrassModel, q: int) -> tuple[int, int]:
     return (-27 * c4) % q, (-54 * c6) % q
 
 
-def _ec_add(P, Q, A, q):
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % q == 0:
+class ModCurve:
+    """A Weierstrass model reduced at an odd prime q, with its group law.
+
+    Points of E(F_q) are affine pairs (x, y) of residues; None is the origin.
+    Built from a-invariants (reduced mod q here), so a short model is just
+    (0, 0, 0, A, B). The torsion helpers use that E(Q)_tors injects into
+    E(F_q) at odd primes of good reduction: a rational point whose reduction
+    has order > 12 (Mazur's bound) is certainly of infinite order.
+    """
+
+    def __init__(self, ainvs, q: int):
+        self.q = q
+        self.a = tuple(int(x) % q for x in ainvs)
+        self._small_set = None
+
+    def reduce(self, pt):
+        """Reduction of a rational point (Fractions) at q."""
+        if pt is None:
             return None
-        lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, q) % q
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, q) % q
-    x3 = (lam * lam - x1 - x2) % q
-    return x3, (lam * (x1 - x3) - y1) % q
+        q = self.q
+        x, y = pt
+        if x.denominator % q == 0 or y.denominator % q == 0:
+            return None  # lands in the kernel of reduction
+        return (
+            x.numerator * pow(x.denominator, -1, q) % q,
+            y.numerator * pow(y.denominator, -1, q) % q,
+        )
+
+    def neg(self, pt):
+        if pt is None:
+            return None
+        a1, _, a3, _, _ = self.a
+        return (pt[0], (-pt[1] - a1 * pt[0] - a3) % self.q)
+
+    def add(self, p1, p2):
+        if p1 is None:
+            return p2
+        if p2 is None:
+            return p1
+        a1, a2, a3, a4, a6 = self.a
+        q = self.q
+        x1, y1 = p1
+        x2, y2 = p2
+        if x1 == x2:
+            if (y1 + y2 + a1 * x1 + a3) % q == 0:
+                return None
+            lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * pow(
+                (2 * y1 + a1 * x1 + a3) % q, -1, q
+            ) % q
+        else:
+            lam = (y2 - y1) * pow((x2 - x1) % q, -1, q) % q
+        nu = (y1 - lam * x1) % q
+        x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % q
+        y3 = (-(lam + a1) * x3 - nu - a3) % q
+        return (x3, y3)
+
+    def mul(self, k, pt):
+        if k < 0:
+            k, pt = -k, self.neg(pt)
+        acc, base = None, pt
+        while k and base is not None:
+            if k & 1:
+                acc = self.add(acc, base)
+            base = self.add(base, base)
+            k >>= 1
+        return acc
+
+    def small_order(self, pt) -> bool:
+        """Does the point have order <= TORSION_MAX_ORDER?"""
+        acc = pt
+        for _ in range(1, TORSION_MAX_ORDER + 1):
+            if acc is None:
+                return True
+            acc = self.add(acc, pt)
+        return False
+
+    def small_order_set(self) -> set:
+        """All points of E(F_q) of order <= TORSION_MAX_ORDER (incl. identity)."""
+        if self._small_set is not None:
+            return self._small_set
+        a1, a2, a3, a4, a6 = self.a
+        q = self.q
+        sqrt_table = {}
+        for z in range((q + 1) // 2):
+            sqrt_table.setdefault(z * z % q, z)
+        inv2 = pow(2, -1, q)
+        small = {None}
+        for x in range(q):
+            rhs = (
+                4 * x**3
+                + (a1 * a1 + 4 * a2) * x * x
+                + 2 * (a1 * a3 + 2 * a4) * x
+                + (a3 * a3 + 4 * a6)
+            ) % q
+            s = sqrt_table.get(rhs)
+            if s is None:
+                continue
+            for sign in (s, (-s) % q):
+                pt = (x, (sign - a1 * x - a3) * inv2 % q)
+                if self.small_order(pt):
+                    small.add(pt)
+                if s == 0:
+                    break
+        self._small_set = small
+        return small
 
 
-def _ec_mul(k, P, A, q):
-    if k < 0:
-        k, P = -k, (P[0], (-P[1]) % q) if P else None
-    R = None
-    while k:
-        if k & 1:
-            R = _ec_add(R, P, A, q)
-        P = _ec_add(P, P, A, q)
-        k >>= 1
-    return R
-
-
-def _point_order_multiple(P, A, q) -> int:
+def _point_order_multiple(P, E: ModCurve) -> int:
     """A positive multiple of ord(P): finds n near q + 1 with nP = O.
 
     BSGS for z with (q+1)P = zP and |z| <= 2*sqrt(q); then n = q + 1 - z.
     Hasse guarantees z exists (take z = a_q).
     """
+    q = E.q
     width = 2 * math.isqrt(q) + 1
     m = math.isqrt(width) + 1
-    Q = _ec_mul(q + 1, P, A, q)
+    Q = E.mul(q + 1, P)
     baby = {}
-    R = _ec_mul(-m, P, A, q)
+    R = E.mul(-m, P)
     for i in range(-m, m + 1):
         baby.setdefault(R, i)
-        R = _ec_add(R, P, A, q)
-    step = _ec_mul(2 * m + 1, P, A, q)
-    neg_step = None if step is None else (step[0], (-step[1]) % q)
-    R = _ec_add(Q, _ec_mul(m * (2 * m + 1), P, A, q), A, q)  # j = -m
+        R = E.add(R, P)
+    neg_step = E.neg(E.mul(2 * m + 1, P))
+    R = E.add(Q, E.mul(m * (2 * m + 1), P))  # j = -m
     for j in range(-m, m + 1):
         if R in baby:
             z = baby[R] + j * (2 * m + 1)
             n = q + 1 - z
-            if n > 0 and _ec_mul(n, P, A, q) is None:
+            if n > 0 and E.mul(n, P) is None:
                 return n
-        R = _ec_add(R, neg_step, A, q)
+        R = E.add(R, neg_step)
     raise ArithmeticError_(f"BSGS failed at {q}")  # unreachable if Hasse holds
 
 
 def _count_bsgs(model: WeierstrassModel, q: int) -> int:
     A, B = _short_mod(model, q)
-    lo = q + 1 - 2 * math.isqrt(q)
-    hi = q + 1 + 2 * math.isqrt(q)
+    E = ModCurve((0, 0, 0, A, B), q)
+    # |a_q| <= floor(2 sqrt(q)) = isqrt(4q), which 2 * isqrt(q) can undershoot by one
+    lo = q + 1 - math.isqrt(4 * q)
+    hi = q + 1 + math.isqrt(4 * q)
     order_lcm = 1
     for x in range(q):  # deterministic point sweep
         rhs = (x**3 + A * x + B) % q
@@ -161,19 +244,19 @@ def _count_bsgs(model: WeierstrassModel, q: int) -> int:
         else:
             continue
         P = (x, y)
-        n = _point_order_multiple(P, A, q)
-        order_lcm = arith.lcm(order_lcm, _exact_order(P, n, A, q))
+        n = _point_order_multiple(P, E)
+        order_lcm = arith.lcm(order_lcm, _exact_order(P, n, E))
         multiples = [k for k in range(lo + (-lo % order_lcm), hi + 1, order_lcm) if k >= lo]
         if len(multiples) == 1:
             return multiples[0]
     raise ArithmeticError_(f"group order ambiguous at {q}")
 
 
-def _exact_order(P, n, A, q) -> int:
+def _exact_order(P, n, E: ModCurve) -> int:
     """ord(P) given a multiple n of it."""
     order = n
     for p in arith.prime_divisors(n):
-        while order % p == 0 and _ec_mul(order // p, P, A, q) is None:
+        while order % p == 0 and E.mul(order // p, P) is None:
             order //= p
     return order
 

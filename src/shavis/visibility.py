@@ -14,7 +14,9 @@ boundary: a certificate is only as strong as its rank records, and says so.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,19 +36,6 @@ PARTIAL = "partial"
 SCHEMA_VERSION = 1
 TOOL_NAME = "shavis"
 TOOL_VERSION = "0.1.0"
-
-#: Labeled hypotheses per theorem; certificates carry exactly these ids
-#: (the lie theorem appends one per bad prime).
-THEOREM_HYPOTHESES = {
-    "improv": ["A.a", "A.b", "A.c", "A.d", "I.tamagawa"],
-    "quadratic": ["A.a", "A.b", "A.c", "A.d", "Q.i", "Q.ii", "Q.iii"],
-    "nontrivial": ["N.good-p", "N.congruence", "N.ramification", "N.conductor",
-                   "N.irreducible", "N.rank-gap"],
-    "nontrivial1": ["N1.good-p", "N1.congruence", "N1.ramification", "N1.a",
-                    "N1.b", "N1.c", "N1.d"],
-    "exten": ["A.a", "A.b", "A.c", "A.d", "E.i", "E.ii"],
-    "lie": ["A.a", "A.b", "A.c", "A.d"],
-}
 
 
 class ScenarioError(ValueError):
@@ -170,93 +159,111 @@ def _overall(verdicts) -> str:
 
 
 def _record_user_assertions(scenario) -> list[HypothesisVerdict]:
-    out = []
-    for ua in scenario.user_assertions:
-        out.append(
-            HypothesisVerdict(
-                ua.get("id", "user-assertion"),
-                USER_ASSERTED,
-                {"statement": ua.get("statement", "")},
-            )
-        )
-    return out
+    return [
+        HypothesisVerdict(ua.get("id", "user-assertion"), USER_ASSERTED,
+                          {"statement": ua.get("statement", "")})
+        for ua in scenario.user_assertions
+    ]
 
 
 class _Engine:
-    """Shared hypothesis evaluation for one scenario."""
+    """Shared hypothesis evaluation for one scenario.
+
+    Every check returns (status, evidence); the theorem table supplies the
+    ids. Twisted models, torsion verdicts and ranks are computed once, so a
+    hypothesis and the conclusion that both consume one share a resolution.
+    """
 
     def __init__(self, scenario: VisibilityScenario, dataset: dataio.Dataset | None = None,
-                 search_height: int = 2000, remote: "dataio.RemoteClient | None" = None):
+                 remote: "dataio.RemoteClient | None" = None):
         self.s = scenario
         self.a_min = curves.minimal_model(scenario.curve_a)[0]
         self.b_min = curves.minimal_model(scenario.curve_b)[0]
         self.n_a, self.locs_a = localdata.conductor(self.a_min)
         self.n_b, self.locs_b = localdata.conductor(self.b_min)
-        self.dataset = dataset
         self.rank_uses: list[dict] = []
-        user_recs = []
-        for r in scenario.rank_records:
-            user_recs.append(
-                dataio.RankRecord(
-                    WeierstrassModel.from_list([Fraction(x) for x in r["curve"]]),
-                    _field_from_json(r["field"]),
-                    int(r["rank"]),
-                    r.get("provenance", "user"),
-                )
+        self._ranks: dict = {}
+        self._torsion: dict = {}
+        user_recs = [
+            dataio.RankRecord(
+                WeierstrassModel.from_list([Fraction(x) for x in r["curve"]]),
+                _field_from_json(r["field"]),
+                int(r["rank"]),
+                r.get("provenance", "user"),
             )
-        self.sources = dataio.RankSources(
-            dataset=dataset, user_records=user_recs, remote=remote,
-            search_height=search_height,
-        )
+            for r in scenario.rank_records
+        ]
+        self.sources = dataio.RankSources(dataset=dataset, user_records=user_recs, remote=remote)
 
-    # ---- rank plumbing
+    @functools.cached_property
+    def twisted(self) -> tuple[WeierstrassModel, WeierstrassModel]:
+        """Minimal models of A and B twisted by the quadratic target field."""
+        d = arith.squarefree_part(self.s.target_quadratic.disc)
+        return tuple(curves.minimal_model(curves.quadratic_twist(m, d))[0]
+                     for m in (self.a_min, self.b_min))
 
     def rank(self, model: WeierstrassModel, field: fields.NumberFieldDescriptor):
-        rec = dataio.rank_over(model, field, self.sources)
-        blob = rec.to_json()
-        if blob not in self.rank_uses:
-            self.rank_uses.append(blob)
-        return rec
+        """Resolve a rank once; the certificate lists ranks in first-use order."""
+        key = (model, field)
+        if key not in self._ranks:
+            self._ranks[key] = dataio.rank_over(model, field, self.sources)
+            self.rank_uses.append(self._ranks[key].to_json())
+        return self._ranks[key]
 
-    # ---- assumption block (shared by improv/quadratic/exten/lie)
+    def conclude(self, conclude, overall: str) -> tuple[dict, str]:
+        """Run a theorem's conclusion and settle the overall status.
 
-    def assumption_a(self) -> HypothesisVerdict:
+        A rank over a field that only a user record can supply leaves the
+        conclusion at "rank records missing" and the certificate partial. A
+        point-search rank on the A side caps the certificate at partial too.
+        """
+        try:
+            conclusion, a_side_ranks = conclude(self)
+        except fields.UnsupportedFieldError as exc:
+            conclusion = {
+                "min_visible_order": 1,
+                "kernel_bound": 1,
+                "rank_gap": 0,
+                "vacuous": True,
+                "statement": f"rank records missing: {exc}",
+            }
+            return conclusion, PARTIAL if overall == CERTIFIED else overall
+        return conclusion, _degrade_search_rank(conclusion, overall, *a_side_ranks)
+
+    # ---- the assumption block (shared by improv/quadratic/exten/lie)
+
+    def congruent(self) -> tuple[str, dict]:
         """B[n] contained in A and congruent: one congruence proof per p | n."""
-        certs = {}
-        ok = True
-        for p in self.s.n_primes:
-            cert = congruence.verify_congruence(
+        certs = {
+            p: congruence.verify_congruence(
                 self.a_min, self.b_min, p, mode=self.s.mode, bound=self.s.congruence_limit
             )
-            certs[p] = cert
-            ok = ok and cert.certified
+            for p in self.s.n_primes
+        }
         evidence = {
             "statement": f"A[{self.s.n}] = B[{self.s.n}] as Galois modules, realized prime by prime",
             "congruence": {str(p): c.to_json(self.s.evidence_level) for p, c in certs.items()},
         }
-        return HypothesisVerdict("A.a", HOLDS if ok else FAILS, evidence)
+        return HOLDS if all(c.certified for c in certs.values()) else FAILS, evidence
 
-    def assumption_b(self, vid="A.b") -> HypothesisVerdict:
+    def ramification(self) -> tuple[str, dict]:
         res = fields.check_ramification_condition(self.s.base_field, self.s.n)
         ev = {
             "statement": f"e_p(L) < p-1 for p | {self.s.n} with L = {self.s.base_field.describe()}",
             "primes": {str(p): d for p, d in res["primes"].items()},
         }
-        return HypothesisVerdict(vid, HOLDS if res["holds"] else FAILS, ev)
+        return HOLDS if res["holds"] else FAILS, ev
 
-    def assumption_c(self) -> HypothesisVerdict:
+    def coprime_to_bad_primes(self) -> tuple[str, dict]:
         bad = sorted(set(l.q for l in self.locs_a) | set(l.q for l in self.locs_b))
-        n_l = 1
-        for q in bad:
-            n_l *= q
-        g = math.gcd(self.s.n, n_l)
+        g = math.gcd(self.s.n, math.prod(bad))
         ev = {
             "statement": f"gcd(n, N(L)) = 1 with N(L) from bad primes {bad}",
             "gcd": g,
         }
         if self.s.base_field.kind != "rationals":
             ev["note"] = "bad primes computed over Q, a conservative superset for L"
-        return HypothesisVerdict("A.c", HOLDS if g == 1 else FAILS, ev)
+        return HOLDS if g == 1 else FAILS, ev
 
     def torsion_vanishes(self, field: fields.NumberFieldDescriptor) -> tuple[str, dict]:
         """B(field)[n] = 0 and (J/B)(field)[n] = 0, via irreducibility first.
@@ -265,6 +272,8 @@ class _Engine:
         the field covers every group involved. The fallback is a direct
         rational p-torsion search through the quadratic twist decomposition.
         """
+        if field in self._torsion:
+            return self._torsion[field]
         detail = {}
         status = HOLDS
         for p in self.s.n_primes:
@@ -275,14 +284,18 @@ class _Engine:
             if verdict.status == "ReducibleDetected":
                 status = FAILS
                 continue
-            # fallback: explicit torsion search
             fallback = self._torsion_search(field, p)
             detail[str(p)]["fallback"] = fallback
             if fallback["status"] == FAILS:
                 status = FAILS
             elif fallback["status"] == INCONCLUSIVE and status == HOLDS:
                 status = INCONCLUSIVE
-        return status, detail
+        ev = {
+            "statement": f"B({field.describe()})[n] = 0 and (J/B)({field.describe()})[n] = 0",
+            "per_prime": detail,
+        }
+        self._torsion[field] = status, ev
+        return status, ev
 
     def _torsion_search(self, field, p) -> dict:
         models = {"A": self.a_min, "B": self.b_min}
@@ -311,17 +324,7 @@ class _Engine:
             return {"status": FAILS, "rational_p_torsion": found}
         return {"status": HOLDS, "note": f"no rational {p}-torsion on any factor"}
 
-    def assumption_d(self, over=None, vid="A.d") -> HypothesisVerdict:
-        field = over or self.s.field_k
-        status, detail = self.torsion_vanishes(field)
-        ev = {
-            "statement": f"B({field.describe()})[n] = 0 and (J/B)({field.describe()})[n] = 0",
-            "per_prime": detail,
-        }
-        return HypothesisVerdict(vid, status, ev)
-
-    def tamagawa_condition(self, model_a, model_b, field, restrict=None,
-                           vid="I.tamagawa") -> HypothesisVerdict:
+    def tamagawa(self, model_a, model_b, field, restrict=None) -> tuple[str, dict]:
         verdicts = {}
         status = HOLDS
         for name, m in (("A", model_a), ("B", model_b)):
@@ -339,113 +342,64 @@ class _Engine:
             + (f" at primes dividing {restrict}" if restrict else ""),
             "curves": verdicts,
         }
-        return HypothesisVerdict(vid, status, ev)
+        return status, ev
+
+    # ---- the order-p (nontrivial) theorems
+
+    def irreducible(self) -> tuple[str, dict]:
+        p, k = self.s.n, self.s.field_k
+        irr = congruence.irreducible_mod_p(self.a_min, p, k)
+        status = {"Irreducible": HOLDS, "ReducibleDetected": FAILS}.get(irr.status, INCONCLUSIVE)
+        return status, {
+            "statement": f"A[{p}] irreducible over {k.describe()}",
+            "verdict": irr.to_json(),
+        }
+
+    def rank_gap(self) -> tuple[str, dict]:
+        k = self.s.field_k
+        rank_a = self.rank(self.a_min, k).rank
+        rank_b = self.rank(self.b_min, k).rank
+        return HOLDS if rank_b > rank_a else FAILS, {
+            "statement": f"rank B({k.describe()}) > rank A({k.describe()})",
+            "rank_A": rank_a, "rank_B": rank_b,
+        }
+
+    def semistable_mod_p(self):
+        """(name, N, local data, Nbar) per curve; Nbar is None when the curve
+        is not semistable or is bad at p, where it is not computed."""
+        p = self.s.n
+        for name, model, n, locs in (("A", self.a_min, self.n_a, self.locs_a),
+                                     ("B", self.b_min, self.n_b, self.locs_b)):
+            ok = n % p != 0 and all(l.f == 1 for l in locs)
+            yield name, n, locs, congruence.mod_p_conductor_semistable(model, p) if ok else None
 
 
 def _field_from_json(blob: dict) -> fields.NumberFieldDescriptor:
-    kind = blob.get("kind")
-    if kind == "rationals":
-        return fields.RATIONALS
-    if kind == "quadratic":
-        return fields.quadratic_field(int(blob["d"]))
-    if kind == "cyclotomic":
-        return fields.cyclotomic_field(int(blob["p"]))
-    if kind == "kummer":
-        return fields.kummer_layer(int(blob["p"]), int(blob["m"]))
+    kind = blob.get("kind") if isinstance(blob, dict) else None
+    try:
+        if kind == "rationals":
+            return fields.RATIONALS
+        if kind == "quadratic":
+            return fields.quadratic_field(int(blob["d"]))
+        if kind == "cyclotomic":
+            return fields.cyclotomic_field(int(blob["p"]))
+        if kind == "kummer":
+            return fields.kummer_layer(int(blob["p"]), int(blob["m"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"bad {kind} field {blob!r}: {exc}") from exc
     raise ScenarioError(f"unknown field kind {kind!r}")
 
 
 def _tower_from_json(blob: dict) -> fields.TowerDescriptor:
     kind = blob.get("kind")
-    if kind == "cyclotomic_zp":
-        return fields.TowerDescriptor("cyclotomic_zp", p=int(blob["p"]))
-    if kind == "false_tate":
-        return fields.TowerDescriptor("false_tate", p=int(blob["p"]), m=int(blob["m"]))
+    try:
+        if kind == "cyclotomic_zp":
+            return fields.TowerDescriptor("cyclotomic_zp", p=int(blob["p"]))
+        if kind == "false_tate":
+            return fields.TowerDescriptor("false_tate", p=int(blob["p"]), m=int(blob["m"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"bad {kind} tower {blob!r}: {exc}") from exc
     raise ScenarioError(f"unknown tower kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# theorem drivers
-
-def verify_theorem_quadratic(scenario: VisibilityScenario,
-                             dataset: dataio.Dataset | None = None,
-                             remote: dataio.RemoteClient | None = None) -> VisibilityCertificate:
-    """Visible elements over a quadratic extension M of K via twists.
-
-    Hypotheses A.a-A.d plus (i) torsion vanishing over M, (ii) n coprime to
-    the Tamagawa numbers of the twisted curves over K, (iii) [M:K] coprime
-    to n. The conclusion bounds the visible subgroup of Sha(A/M) from below
-    by n^(rank B_chi(K) - rank A_chi(K)).
-    """
-    if scenario.field_k.kind != "rationals":
-        raise ScenarioError("quadratic theorem path supports K = Q; twists of curves "
-                            "over bigger K are out of scope")
-    eng = _Engine(scenario, dataset, remote=remote)
-    s = scenario
-    m_field = s.target_quadratic
-    d = arith.squarefree_part(m_field.disc)
-    a_tw = curves.minimal_model(curves.quadratic_twist(eng.a_min, d))[0]
-    b_tw = curves.minimal_model(curves.quadratic_twist(eng.b_min, d))[0]
-
-    verdicts = [eng.assumption_a(), eng.assumption_b(), eng.assumption_c()]
-    q_i = eng.assumption_d(over=m_field, vid="Q.i")
-    # A.d (over K) is implied by torsion vanishing over M, since K sits inside M
-    verdicts.append(
-        HypothesisVerdict(
-            "A.d",
-            q_i.status,
-            {"statement": "torsion vanishing over K, implied by Q.i since K is a subfield of M",
-             "inherited_from": "Q.i"},
-        )
-    )
-    verdicts.append(q_i)
-    verdicts.append(
-        eng.tamagawa_condition(a_tw, b_tw, s.field_k, vid="Q.ii")
-    )
-    g = math.gcd(2, s.n)
-    verdicts.append(
-        HypothesisVerdict(
-            "Q.iii",
-            HOLDS if g == 1 else FAILS,
-            {"statement": "order of Gal(M/K) = 2 is coprime to odd n", "gcd": g},
-        )
-    )
-    verdicts.extend(_record_user_assertions(s))
-
-    rank_a = eng.rank(a_tw, fields.RATIONALS)
-    rank_b = eng.rank(b_tw, fields.RATIONALS)
-    gap = rank_b.rank - rank_a.rank
-    conclusion = _order_conclusion(
-        s, gap, rank_a.rank,
-        target_desc=f"Vis_J(Sha(A/{m_field.describe()}))",
-        twisted=(str(a_tw), str(b_tw)),
-    )
-    overall = _degrade_search_rank(conclusion, _overall(verdicts), rank_a)
-    return VisibilityCertificate(s, tuple(verdicts), conclusion, overall,
-                                 tuple(dict(r) for r in eng.rank_uses))
-
-
-def verify_theorem_improv(scenario: VisibilityScenario,
-                          dataset: dataio.Dataset | None = None,
-                          remote: dataio.RemoteClient | None = None) -> VisibilityCertificate:
-    """Base visibility theorem over K itself (no twist, no extension)."""
-    eng = _Engine(scenario, dataset, remote=remote)
-    s = scenario
-    verdicts = [eng.assumption_a(), eng.assumption_b(), eng.assumption_c(),
-                eng.assumption_d()]
-    verdicts.append(
-        eng.tamagawa_condition(eng.a_min, eng.b_min, s.field_k, vid="I.tamagawa")
-    )
-    verdicts.extend(_record_user_assertions(s))
-    rank_a = eng.rank(eng.a_min, s.field_k)
-    rank_b = eng.rank(eng.b_min, s.field_k)
-    gap = rank_b.rank - rank_a.rank
-    conclusion = _order_conclusion(
-        s, gap, rank_a.rank, target_desc=f"Vis_J(Sha(A/{s.field_k.describe()}))"
-    )
-    overall = _degrade_search_rank(conclusion, _overall(verdicts), rank_a)
-    return VisibilityCertificate(s, tuple(verdicts), conclusion, overall,
-                                 tuple(dict(r) for r in eng.rank_uses))
 
 
 def _uses_search_bound(record) -> bool:
@@ -467,224 +421,123 @@ def _degrade_search_rank(conclusion: dict, overall: str, *a_side_records) -> str
     return overall
 
 
-def _order_conclusion(s, gap, rank_a, target_desc, twisted=None, image_rank=None,
-                      kernel_rank_bound=None) -> dict:
-    n = s.n
-    if image_rank is not None:
-        vacuous = image_rank <= 0
-        min_order = 1 if vacuous else n**image_rank
-        kernel_bound = n**kernel_rank_bound
-    else:
-        vacuous = gap <= 0
-        min_order = 1 if vacuous else n**gap
-        kernel_bound = n**rank_a
-    statement = (
-        f"no nontrivial lower bound (rank gap {gap} <= 0)" if vacuous
-        else f"{target_desc} contains a subgroup of order >= {min_order}"
-    )
-    out = {
-        "min_visible_order": min_order,
-        "kernel_bound": kernel_bound,
+# ---------------------------------------------------------------------------
+# theorem-specific checks and conclusions
+
+def _gap_conclusion(eng: _Engine, model_a, model_b, field, claim: str) -> tuple[dict, tuple]:
+    """n^(rank B - rank A) over the field; `claim` precedes " of order >= ..."."""
+    n = eng.s.n
+    rank_a = eng.rank(model_a, field)
+    gap = eng.rank(model_b, field).rank - rank_a.rank
+    conclusion = {
+        "min_visible_order": n**gap if gap > 0 else 1,
+        "kernel_bound": n**rank_a.rank,
         "rank_gap": gap,
-        "vacuous": vacuous,
-        "statement": statement,
+        "vacuous": gap <= 0,
+        "statement": f"{claim} of order >= {n**gap}" if gap > 0
+        else f"no nontrivial lower bound (rank gap {gap} <= 0)",
     }
-    if twisted:
-        out["twisted_models"] = list(twisted)
-    if image_rank is not None:
-        out["image_rank"] = image_rank
-        out["kernel_rank_bound"] = kernel_rank_bound
-    return out
+    return conclusion, (rank_a,)
 
 
-def verify_theorem_nontrivial(scenario: VisibilityScenario,
-                              dataset: dataio.Dataset | None = None,
-                              remote: dataio.RemoteClient | None = None) -> VisibilityCertificate:
-    """Order-p elements of Sha(A/K) from conductor conditions on A[p].
+def _conclude_improv(eng: _Engine):
+    k = eng.s.field_k
+    return _gap_conclusion(eng, eng.a_min, eng.b_min, k,
+                           f"Vis_J(Sha(A/{k.describe()})) contains a subgroup")
 
-    The plain variant demands that the prime-to-p conductor of A[p] equals
-    both conductors over K = Q; the refined variant (nontrivial1) allows
-    primes to drop from the conductor when the reduction there is non-split
-    multiplicative, over K = Q or a quadratic K via the base-change rules.
-    """
-    s = scenario
-    if s.theorem not in ("nontrivial", "nontrivial1"):
-        raise ScenarioError(f"wrong driver for theorem {s.theorem}")
-    refined = s.theorem == "nontrivial1"
-    pre = "N1" if refined else "N"
-    if s.field_k.kind not in ("rationals", "quadratic"):
-        raise ScenarioError("nontrivial theorems support K = Q or quadratic K")
-    if not refined and s.field_k.kind != "rationals":
-        raise ScenarioError("plain nontrivial conductor comparison is computed over Q only")
-    p = s.n
-    if not arith.is_prime(p):
-        raise ScenarioError("nontrivial theorems need prime n")
-    eng = _Engine(scenario, dataset, remote=remote)
 
-    verdicts = []
-    good_a = eng.n_a % p != 0
-    good_b = eng.n_b % p != 0
-    verdicts.append(
-        HypothesisVerdict(
-            f"{pre}.good-p",
-            HOLDS if good_a and good_b else FAILS,
-            {"statement": f"both curves have good reduction at {p}",
-             "N_A": eng.n_a, "N_B": eng.n_b},
-        )
+def _conclude_quadratic(eng: _Engine):
+    a_tw, b_tw = eng.twisted
+    conclusion, a_side = _gap_conclusion(
+        eng, a_tw, b_tw, fields.RATIONALS,
+        f"Vis_J(Sha(A/{eng.s.target_quadratic.describe()})) contains a subgroup",
     )
-    cong = eng.assumption_a()
-    verdicts.append(HypothesisVerdict(f"{pre}.congruence", cong.status, cong.evidence))
-    ram = eng.assumption_b(vid=f"{pre}.ramification")
-    verdicts.append(ram)
+    conclusion["twisted_models"] = [str(a_tw), str(b_tw)]
+    return conclusion, a_side
 
-    semistable_a = all(l.f == 1 for l in eng.locs_a)
-    semistable_b = all(l.f == 1 for l in eng.locs_b)
 
-    if refined:
-        verdicts.append(_nonsplit_drop_condition(eng, p, s.field_k))
-        verdicts.append(
-            HypothesisVerdict(
-                "N1.b",
-                HOLDS if semistable_a and semistable_b else FAILS,
-                {"statement": "A and B are semistable (squarefree conductors)",
-                 "N_A": eng.n_a, "N_B": eng.n_b},
-            )
-        )
-        irr = congruence.irreducible_mod_p(eng.a_min, p, s.field_k)
-        verdicts.append(
-            HypothesisVerdict(
-                "N1.c",
-                HOLDS if irr.status == "Irreducible"
-                else FAILS if irr.status == "ReducibleDetected" else INCONCLUSIVE,
-                {"statement": f"A[{p}] irreducible over {s.field_k.describe()}",
-                 "verdict": irr.to_json()},
-            )
-        )
-    else:
-        verdicts.append(_conductor_equality_condition(eng, p))
-        irr = congruence.irreducible_mod_p(eng.a_min, p, s.field_k)
-        verdicts.append(
-            HypothesisVerdict(
-                "N.irreducible",
-                HOLDS if irr.status == "Irreducible"
-                else FAILS if irr.status == "ReducibleDetected" else INCONCLUSIVE,
-                {"statement": f"A[{p}] irreducible over {s.field_k.describe()}",
-                 "verdict": irr.to_json()},
-            )
-        )
-
-    rank_a = eng.rank(eng.a_min, s.field_k)
-    rank_b = eng.rank(eng.b_min, s.field_k)
-    gap = rank_b.rank - rank_a.rank
-    verdicts.append(
-        HypothesisVerdict(
-            f"{pre}.d" if refined else "N.rank-gap",
-            HOLDS if gap > 0 else FAILS,
-            {"statement": f"rank B({s.field_k.describe()}) > rank A({s.field_k.describe()})",
-             "rank_A": rank_a.rank, "rank_B": rank_b.rank},
-        )
+def _conclude_nontrivial(eng: _Engine):
+    k, p = eng.s.field_k, eng.s.n
+    return _gap_conclusion(
+        eng, eng.a_min, eng.b_min, k,
+        f"Sha(A/{k.describe()}) contains an element of order {p}; visible subgroup",
     )
-    verdicts.extend(_record_user_assertions(s))
-    conclusion = _order_conclusion(
-        s, gap, rank_a.rank, target_desc=f"Sha(A/{s.field_k.describe()})[{p}-primary]"
-    )
-    if gap > 0:
-        conclusion["statement"] = (
-            f"Sha(A/{s.field_k.describe()}) contains an element of order {p}; "
-            f"visible subgroup of order >= {p**gap}"
-        )
-    overall = _degrade_search_rank(conclusion, _overall(verdicts), rank_a)
-    return VisibilityCertificate(s, tuple(verdicts), conclusion, overall,
-                                 tuple(dict(r) for r in eng.rank_uses))
 
 
-def _nonsplit_drop_condition(eng: _Engine, p: int, field_k) -> HypothesisVerdict:
+def _good_at_p(eng: _Engine) -> tuple[str, dict]:
+    p = eng.s.n
+    good = eng.n_a % p != 0 and eng.n_b % p != 0
+    return HOLDS if good else FAILS, {
+        "statement": f"both curves have good reduction at {p}",
+        "N_A": eng.n_a, "N_B": eng.n_b,
+    }
+
+
+def _semistable(eng: _Engine) -> tuple[str, dict]:
+    semistable = all(l.f == 1 for l in (*eng.locs_a, *eng.locs_b))
+    return HOLDS if semistable else FAILS, {
+        "statement": "A and B are semistable (squarefree conductors)",
+        "N_A": eng.n_a, "N_B": eng.n_b,
+    }
+
+
+def _not_semistable() -> dict:
+    return {"status": INCONCLUSIVE, "note": "not semistable or bad at p"}
+
+
+def _nonsplit_drop(eng: _Engine) -> tuple[str, dict]:
     """nontrivial1 (a): primes dropping from the mod-p conductor must be
     non-split multiplicative over K."""
+    p, field_k = eng.s.n, eng.s.field_k
     detail = {}
     status = HOLDS
-    for name, model, n, locs in (("A", eng.a_min, eng.n_a, eng.locs_a),
-                                 ("B", eng.b_min, eng.n_b, eng.locs_b)):
-        if n % p == 0 or any(l.f != 1 for l in locs):
-            detail[name] = {"status": INCONCLUSIVE, "note": "not semistable or bad at p"}
+    for name, n, locs, nbar in eng.semistable_mod_p():
+        if nbar is None:
+            detail[name] = _not_semistable()
             status = INCONCLUSIVE if status == HOLDS else status
             continue
-        nbar = congruence.mod_p_conductor_semistable(model, p)
         dropped = [l for l in locs if l.v_delta % p == 0]
         entry = {"N": n, "Nbar": nbar, "dropped_primes": [l.q for l in dropped]}
-        bad = []
-        for l in dropped:
-            split = fields.splitting_data(field_k, l.q)
-            # split multiplicative stays split; nonsplit becomes split iff the
-            # residue degree is even
-            nonsplit_over_k = (
-                l.reduction_class == localdata.NONSPLIT_MULT and split.f % 2 == 1
-            )
-            if not nonsplit_over_k:
-                bad.append(l.q)
+        # split multiplicative stays split; nonsplit becomes split iff the
+        # residue degree is even
+        bad = [
+            l.q for l in dropped
+            if not (l.reduction_class == localdata.NONSPLIT_MULT
+                    and fields.splitting_data(field_k, l.q).f % 2 == 1)
+        ]
         if bad:
             entry["split_at"] = bad
             status = FAILS
         detail[name] = entry
-    return HypothesisVerdict(
-        "N1.a",
-        status,
-        {"statement": "primes dividing N/Nbar are non-split multiplicative over K",
-         "curves": detail},
-    )
+    return status, {
+        "statement": "primes dividing N/Nbar are non-split multiplicative over K",
+        "curves": detail,
+    }
 
 
-def _conductor_equality_condition(eng: _Engine, p: int) -> HypothesisVerdict:
+def _conductor_equality(eng: _Engine) -> tuple[str, dict]:
     detail = {}
     status = HOLDS
-    for name, model, n, locs in (("A", eng.a_min, eng.n_a, eng.locs_a),
-                                 ("B", eng.b_min, eng.n_b, eng.locs_b)):
-        if n % p == 0 or any(l.f != 1 for l in locs):
-            detail[name] = {"status": INCONCLUSIVE, "note": "not semistable or bad at p"}
+    for name, n, _, nbar in eng.semistable_mod_p():
+        if nbar is None:
+            detail[name] = _not_semistable()
             status = INCONCLUSIVE if status == HOLDS else status
             continue
-        nbar = congruence.mod_p_conductor_semistable(model, p)
         detail[name] = {"N": n, "Nbar": nbar}
         if nbar != n:
             status = FAILS
     if status == HOLDS and eng.n_a != eng.n_b:
         status = FAILS
         detail["note"] = "conductors of A and B differ"
-    return HypothesisVerdict(
-        "N.conductor",
-        status,
-        {"statement": "prime-to-p conductor of A[p] equals the conductors of A and of B",
-         "curves": detail},
-    )
+    return status, {
+        "statement": "prime-to-p conductor of A[p] equals the conductors of A and of B",
+        "curves": detail,
+    }
 
 
-def verify_theorem_exten(scenario: VisibilityScenario,
-                         dataset: dataio.Dataset | None = None,
-                         remote: dataio.RemoteClient | None = None) -> VisibilityCertificate:
-    """Visible elements over a degree-p Kummer layer M = K(m^(1/p)).
-
-    Beyond the assumption block: (i) the ramification index of M at primes
-    dividing N/N_A is divisible by p, and (ii) p does not divide the Tamagawa
-    numbers of A and B over K at primes dividing N_A. The kernel of the map
-    is bounded through the Galois module structure of A(M).
-    """
-    s = scenario
-    p = s.n
-    if not arith.is_prime(p):
-        raise ScenarioError("exten theorem needs prime n = p")
-    kummer = s.target_kummer
-    if kummer.p != p:
-        raise ScenarioError(f"kummer layer prime {kummer.p} != scenario p {p}")
-    if s.field_k != fields.cyclotomic_field(p):
-        raise ScenarioError(
-            f"kummer layers live over Q(mu_{p}); set field_k to cyclotomic {p}"
-        )
-    eng = _Engine(scenario, dataset, remote=remote)
-
-    verdicts = [eng.assumption_a(), eng.assumption_b(), eng.assumption_c(),
-                eng.assumption_d()]
-
-    # (i): e_v(M) divisible by p at primes dividing N/N_A
+def _kummer_ramification(eng: _Engine) -> tuple[str, dict]:
+    """exten (i): e_v(M) divisible by p at primes dividing N/N_A."""
+    p, kummer = eng.s.n, eng.s.target_kummer
     extra = sorted(set(l.q for l in eng.locs_b) - set(l.q for l in eng.locs_a))
     rami = {}
     ok = True
@@ -697,91 +550,60 @@ def verify_theorem_exten(scenario: VisibilityScenario,
             continue
         rami[str(q)] = {"e": e, "divisible_by_p": e % p == 0}
         ok = ok and e % p == 0
-    verdicts.append(
-        HypothesisVerdict(
-            "E.i",
-            HOLDS if ok else FAILS,
-            {"statement": f"e_v({kummer.describe()}) divisible by {p} at primes dividing N/N_A",
-             "primes": rami},
-        )
-    )
-    # (ii): Tamagawa over K restricted to primes dividing N_A
-    restrict = sorted(l.q for l in eng.locs_a)
-    verdicts.append(
-        eng.tamagawa_condition(eng.a_min, eng.b_min, s.field_k, restrict=restrict, vid="E.ii")
-    )
-    verdicts.extend(_record_user_assertions(s))
+    return HOLDS if ok else FAILS, {
+        "statement": f"e_v({kummer.describe()}) divisible by {p} at primes dividing N/N_A",
+        "primes": rami,
+    }
 
-    try:
-        rank_a_k = eng.rank(eng.a_min, s.field_k)
-        rank_a_m = eng.rank(eng.a_min, kummer)
-        rank_b_k = eng.rank(eng.b_min, s.field_k)
-    except fields.UnsupportedFieldError as exc:
-        conclusion = {
-            "min_visible_order": 1,
-            "kernel_bound": 1,
-            "rank_gap": 0,
-            "vacuous": True,
-            "statement": f"rank records missing: {exc}",
-        }
-        overall = _overall(verdicts)
-        if overall == CERTIFIED:
-            overall = PARTIAL
-        return VisibilityCertificate(s, tuple(verdicts), conclusion, overall,
-                                     tuple(dict(r) for r in eng.rank_uses))
-    kernel_rank = rank_a_k.rank + (rank_a_m.rank - rank_a_k.rank) // (p - 1)
-    image_rank = max(rank_b_k.rank - kernel_rank, 0)
-    conclusion = _order_conclusion(
-        s, rank_b_k.rank - rank_a_k.rank, rank_a_k.rank,
-        target_desc=f"Vis_J(Sha(A/{kummer.describe()}))",
-        image_rank=image_rank, kernel_rank_bound=kernel_rank,
-    )
+
+def _conclude_exten(eng: _Engine):
+    """The kernel of the map is bounded through the Galois module structure
+    of A(M); the image has rank >= rank B(K) - that kernel bound."""
+    s, p, kummer = eng.s, eng.s.n, eng.s.target_kummer
+    rank_a_k = eng.rank(eng.a_min, s.field_k).rank
+    rank_a_m = eng.rank(eng.a_min, kummer).rank
+    rank_b_k = eng.rank(eng.b_min, s.field_k).rank
+    kernel_rank = rank_a_k + (rank_a_m - rank_a_k) // (p - 1)
+    image_rank = max(rank_b_k - kernel_rank, 0)
+    gap = rank_b_k - rank_a_k
     if image_rank > 0:
         inj = " (injective)" if kernel_rank == 0 else ""
-        conclusion["statement"] = (
-            f"image of rank >= {image_rank} in Vis_J(Sha(A/{kummer.describe()}))[{p}]{inj}"
-        )
-    return VisibilityCertificate(s, tuple(verdicts), conclusion, _overall(verdicts),
-                                 tuple(dict(r) for r in eng.rank_uses))
+        statement = f"image of rank >= {image_rank} in Vis_J(Sha(A/{kummer.describe()}))[{p}]{inj}"
+    else:
+        statement = f"no nontrivial lower bound (rank gap {gap} <= 0)"
+    conclusion = {
+        "min_visible_order": p**image_rank if image_rank > 0 else 1,
+        "kernel_bound": p**kernel_rank,
+        "rank_gap": gap,
+        "vacuous": image_rank <= 0,
+        "statement": statement,
+        "image_rank": image_rank,
+        "kernel_rank_bound": kernel_rank,
+    }
+    return conclusion, ()
 
 
-def verify_theorem_lie(scenario: VisibilityScenario,
-                       dataset: dataio.Dataset | None = None,
-                       remote: dataio.RemoteClient | None = None) -> VisibilityCertificate:
-    """Visibility over a p-adic Lie tower: per bad prime, either the Tamagawa
-    numbers stay p-units up the tower (unramified stability) or the
-    decomposition group has Lie dimension >= 2."""
-    s = scenario
-    p = s.n
-    if not arith.is_prime(p):
-        raise ScenarioError("lie theorem needs prime n = p")
-    tower = s.target_tower
-    if tower.p != p:
-        raise ScenarioError(f"tower prime {tower.p} != scenario p {p}")
-    eng = _Engine(scenario, dataset, remote=remote)
+def _lie_layers(eng: _Engine) -> list[HypothesisVerdict]:
+    """One verdict L.v{q} per bad prime q: either the Tamagawa numbers stay
+    p-units up the tower (unramified stability) or the decomposition group
+    has Lie dimension >= 2."""
+    p, tower = eng.s.n, eng.s.target_tower
     base = tower.base
-
-    verdicts = [eng.assumption_a(), eng.assumption_b(), eng.assumption_c(),
-                eng.assumption_d(over=base)]
-
-    bad = sorted(set(l.q for l in eng.locs_a) | set(l.q for l in eng.locs_b))
-    locs_a = {l.q: l for l in eng.locs_a}
-    locs_b = {l.q: l for l in eng.locs_b}
-    for q in bad:
+    locs = {"A": {l.q: l for l in eng.locs_a}, "B": {l.q: l for l in eng.locs_b}}
+    out = []
+    for q in sorted(set(locs["A"]) | set(locs["B"])):
         entry = {}
         # branch 1: p-unit at the base layer plus unramified stability
-        ramified_in_tower = (q == p) or (
-            tower.kind == "false_tate" and tower.m % q == 0
-        )
+        ramified_in_tower = (q == p) or (tower.kind == "false_tate" and tower.m % q == 0)
         units = True
-        for name, locs, model in (("A", locs_a, eng.a_min), ("B", locs_b, eng.b_min)):
-            if q not in locs:
+        for name, by_q in locs.items():
+            if q not in by_q:
                 entry[name] = {"c": 1, "note": "good reduction"}
                 continue
             split = fields.splitting_data(base, q)
             try:
                 c = localdata.tamagawa_over_extension(
-                    locs[q], localdata.LocalFieldExtension(q, split.e, split.f)
+                    by_q[q], localdata.LocalFieldExtension(q, split.e, split.f)
                 )
                 entry[name] = {"c_over_base": c}
                 units = units and c % p != 0
@@ -800,11 +622,13 @@ def verify_theorem_lie(scenario: VisibilityScenario,
             else:
                 entry["branch"] = "neither branch applies"
                 status = INCONCLUSIVE
-        verdicts.append(HypothesisVerdict(f"L.v{q}", status, entry))
+        out.append(HypothesisVerdict(f"L.v{q}", status, entry))
+    return out
 
-    verdicts.extend(_record_user_assertions(s))
+
+def _conclude_lie(eng: _Engine):
     conclusion = {
-        "statement": f"the visibility map lands in Vis_J(Sha(A/{tower.describe()}))",
+        "statement": f"the visibility map lands in Vis_J(Sha(A/{eng.s.target_tower.describe()}))",
         "min_visible_order": 1,
         "kernel_bound": 1,
         "rank_gap": 0,
@@ -812,8 +636,50 @@ def verify_theorem_lie(scenario: VisibilityScenario,
         "injectivity": "injective when A has finitely many points up the tower "
                        "(user-assertable, not computed)",
     }
-    return VisibilityCertificate(s, tuple(verdicts), conclusion, _overall(verdicts),
-                                 tuple(dict(r) for r in eng.rank_uses))
+    return conclusion, ()
+
+
+# ---- up-front validation, run before any computation
+
+def _validate_improv(s: VisibilityScenario) -> None:
+    if s.field_k.kind == "kummer":
+        raise ScenarioError("improv theorem supports K = Q, quadratic or cyclotomic; "
+                            "irreducibility witnesses over a kummer K are unsupported")
+
+
+def _validate_quadratic(s: VisibilityScenario) -> None:
+    if s.field_k.kind != "rationals":
+        raise ScenarioError("quadratic theorem path supports K = Q; twists of curves "
+                            "over bigger K are out of scope")
+
+
+def _validate_nontrivial(s: VisibilityScenario, refined: bool = False) -> None:
+    if s.field_k.kind not in ("rationals", "quadratic"):
+        raise ScenarioError("nontrivial theorems support K = Q or quadratic K")
+    if not refined and s.field_k.kind != "rationals":
+        raise ScenarioError("plain nontrivial conductor comparison is computed over Q only")
+    if not arith.is_prime(s.n):
+        raise ScenarioError("nontrivial theorems need prime n")
+
+
+def _validate_exten(s: VisibilityScenario) -> None:
+    p = s.n
+    if not arith.is_prime(p):
+        raise ScenarioError("exten theorem needs prime n = p")
+    if s.target_kummer.p != p:
+        raise ScenarioError(f"kummer layer prime {s.target_kummer.p} != scenario p {p}")
+    if s.field_k != fields.cyclotomic_field(p):
+        raise ScenarioError(
+            f"kummer layers live over Q(mu_{p}); set field_k to cyclotomic {p}"
+        )
+
+
+def _validate_lie(s: VisibilityScenario) -> None:
+    p = s.n
+    if not arith.is_prime(p):
+        raise ScenarioError("lie theorem needs prime n = p")
+    if s.target_tower.p != p:
+        raise ScenarioError(f"tower prime {s.target_tower.p} != scenario p {p}")
 
 
 def verify_lemma_twist(model: WeierstrassModel, d: int, p: int) -> list[HypothesisVerdict]:
@@ -923,30 +789,150 @@ def check_analytic_divisibility(certificate: VisibilityCertificate,
     }
 
 
-DRIVERS = {
-    "improv": verify_theorem_improv,
-    "quadratic": verify_theorem_quadratic,
-    "nontrivial": verify_theorem_nontrivial,
-    "nontrivial1": verify_theorem_nontrivial,
-    "exten": verify_theorem_exten,
-    "lie": verify_theorem_lie,
+# ---------------------------------------------------------------------------
+# the theorem table
+
+Check = Callable[[_Engine], tuple[str, dict]]
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    """One visibility theorem: its validation, its labeled hypotheses in
+    certificate order, verdicts beyond the schema, and its conclusion,
+    which returns the conclusion and the A-side rank records it consumed."""
+
+    validate: Callable[[VisibilityScenario], None]
+    hypotheses: tuple[tuple[str, Check], ...]
+    conclude: Callable[[_Engine], tuple[dict, tuple]]
+    extra: Callable[[_Engine], list[HypothesisVerdict]] = lambda eng: []
+
+
+_ASSUMPTIONS = (
+    ("A.a", _Engine.congruent),
+    ("A.b", _Engine.ramification),
+    ("A.c", _Engine.coprime_to_bad_primes),
+)
+_TORSION_OVER_K = ("A.d", lambda e: e.torsion_vanishes(e.s.field_k))
+
+
+def _inherits_q_i(eng: _Engine) -> tuple[str, dict]:
+    """A.d (over K) is implied by torsion vanishing over M, since K sits inside M."""
+    status, _ = eng.torsion_vanishes(eng.s.target_quadratic)
+    return status, {
+        "statement": "torsion vanishing over K, implied by Q.i since K is a subfield of M",
+        "inherited_from": "Q.i",
+    }
+
+
+def _degree_two_coprime(eng: _Engine) -> tuple[str, dict]:
+    g = math.gcd(2, eng.s.n)
+    return HOLDS if g == 1 else FAILS, {
+        "statement": "order of Gal(M/K) = 2 is coprime to odd n", "gcd": g,
+    }
+
+
+def _nontrivial(pre: str, local: tuple, rank_gap_id: str, refined: bool) -> _Theorem:
+    """Order-p elements of Sha(A/K) from conductor conditions on A[p].
+
+    The plain variant demands that the prime-to-p conductor of A[p] equals
+    both conductors over K = Q; the refined variant (nontrivial1) allows
+    primes to drop from the conductor when the reduction there is non-split
+    multiplicative, over K = Q or a quadratic K via the base-change rules.
+    """
+    return _Theorem(
+        validate=functools.partial(_validate_nontrivial, refined=refined),
+        hypotheses=(
+            (f"{pre}.good-p", _good_at_p),
+            (f"{pre}.congruence", _Engine.congruent),
+            (f"{pre}.ramification", _Engine.ramification),
+            *local,
+            (rank_gap_id, _Engine.rank_gap),
+        ),
+        conclude=_conclude_nontrivial,
+    )
+
+
+THEOREMS = {
+    # the base theorem over K itself (no twist, no extension)
+    "improv": _Theorem(
+        validate=_validate_improv,
+        hypotheses=(
+            *_ASSUMPTIONS,
+            _TORSION_OVER_K,
+            ("I.tamagawa", lambda e: e.tamagawa(e.a_min, e.b_min, e.s.field_k)),
+        ),
+        conclude=_conclude_improv,
+    ),
+    # over a quadratic M via twists: (i) torsion vanishing over M, (ii) n
+    # coprime to the Tamagawa numbers of the twists over K, (iii) [M:K]
+    # coprime to n; the bound is n^(rank B_chi(K) - rank A_chi(K))
+    "quadratic": _Theorem(
+        validate=_validate_quadratic,
+        hypotheses=(
+            *_ASSUMPTIONS,
+            ("A.d", _inherits_q_i),
+            ("Q.i", lambda e: e.torsion_vanishes(e.s.target_quadratic)),
+            ("Q.ii", lambda e: e.tamagawa(*e.twisted, e.s.field_k)),
+            ("Q.iii", _degree_two_coprime),
+        ),
+        conclude=_conclude_quadratic,
+    ),
+    "nontrivial": _nontrivial(
+        "N",
+        (("N.conductor", _conductor_equality), ("N.irreducible", _Engine.irreducible)),
+        "N.rank-gap", refined=False,
+    ),
+    "nontrivial1": _nontrivial(
+        "N1",
+        (("N1.a", _nonsplit_drop), ("N1.b", _semistable), ("N1.c", _Engine.irreducible)),
+        "N1.d", refined=True,
+    ),
+    # over a degree-p Kummer layer M = K(m^(1/p)): (i) ramification of M at
+    # primes dividing N/N_A, (ii) p prime to the Tamagawa numbers over K at
+    # primes dividing N_A
+    "exten": _Theorem(
+        validate=_validate_exten,
+        hypotheses=(
+            *_ASSUMPTIONS,
+            _TORSION_OVER_K,
+            ("E.i", _kummer_ramification),
+            ("E.ii", lambda e: e.tamagawa(e.a_min, e.b_min, e.s.field_k,
+                                          restrict=sorted(l.q for l in e.locs_a))),
+        ),
+        conclude=_conclude_exten,
+    ),
+    # over a p-adic Lie tower: the assumption block over its base, plus one
+    # verdict per bad prime
+    "lie": _Theorem(
+        validate=_validate_lie,
+        hypotheses=(
+            *_ASSUMPTIONS,
+            ("A.d", lambda e: e.torsion_vanishes(e.s.target_tower.base)),
+        ),
+        conclude=_conclude_lie,
+        extra=_lie_layers,
+    ),
+}
+
+#: Labeled hypotheses per theorem; certificates carry exactly these ids
+#: (the lie theorem appends one per bad prime).
+THEOREM_HYPOTHESES = {
+    name: [vid for vid, _ in theorem.hypotheses] for name, theorem in THEOREMS.items()
 }
 
 
 def verify_scenario(scenario: VisibilityScenario,
                     dataset: dataio.Dataset | None = None,
                     remote: dataio.RemoteClient | None = None) -> VisibilityCertificate:
-    cert = DRIVERS[scenario.theorem](scenario, dataset, remote)
-    _check_schema(cert)
-    return cert
-
-
-def _check_schema(cert: VisibilityCertificate):
-    """Certificate completeness: ids must exactly match the theorem schema."""
-    expected = list(THEOREM_HYPOTHESES[cert.scenario.theorem])
-    got = [v.id for v in cert.verdicts if v.status != USER_ASSERTED]
-    if cert.scenario.theorem == "lie":
-        base = [g for g in got if not g.startswith("L.v")]
-        assert base == expected, f"verdict ids {base} != schema {expected}"
-    else:
-        assert got == expected, f"verdict ids {got} != schema {expected}"
+    """Validate the scenario for its theorem, check each hypothesis in schema
+    order, append the theorem's extra verdicts and the user assertions, and
+    conclude."""
+    theorem = THEOREMS[scenario.theorem]
+    theorem.validate(scenario)
+    eng = _Engine(scenario, dataset, remote)
+    verdicts = [HypothesisVerdict(vid, *check(eng)) for vid, check in theorem.hypotheses]
+    verdicts += theorem.extra(eng)
+    verdicts += _record_user_assertions(scenario)
+    conclusion, overall = eng.conclude(theorem.conclude, _overall(verdicts))
+    return VisibilityCertificate(scenario, tuple(verdicts), conclusion, overall,
+                                 tuple(eng.rank_uses))

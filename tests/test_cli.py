@@ -89,6 +89,48 @@ def test_verify_schema_error_exits_2(capsys, tmp_path):
     assert run(capsys, "verify", str(path))[0] == 2
 
 
+def _write(tmp_path, blob):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
+def test_verify_quadratic_target_d4_exits_2(capsys, tmp_path):
+    # d = 4 is a square, so Q(sqrt(d)) is not a quadratic field
+    blob = json.loads(bundled_scenario_path("ex1_quadratic_59").read_text())
+    blob["target"] = {"kind": "quadratic", "d": 4}
+    code, _, err = run(capsys, "verify", _write(tmp_path, blob))
+    assert code == 2
+    assert "error:" in err
+
+
+def test_verify_improv_over_kummer_k_exits_2(capsys, tmp_path):
+    blob = {
+        "schema_version": 1, "name": "improv-kummer", "theorem": "improv", "p": 3,
+        "curve_a": [0, 1, 0, -5, -13], "curve_b": [0, 1, 0, 56, -588],
+        "field_k": {"kind": "kummer", "p": 3, "m": 7},
+        "options": {"congruence_bound": 60},
+    }
+    code, _, err = run(capsys, "verify", _write(tmp_path, blob))
+    assert code == 2
+    assert "kummer" in err
+
+
+def test_verify_improv_over_cyclotomic_without_ranks(capsys, tmp_path):
+    # ranks over Q(mu_3) can only come from user records: the certificate is
+    # written and says so, it does not end in an internal error
+    blob = {
+        "schema_version": 1, "name": "improv-cyclotomic", "theorem": "improv", "p": 3,
+        "curve_a": [0, 1, 0, -5, -13], "curve_b": [0, 1, 0, 56, -588],
+        "field_k": {"kind": "cyclotomic", "p": 3},
+        "options": {"congruence_bound": 60},
+    }
+    code, out, _ = run(capsys, "verify", _write(tmp_path, blob))
+    cert = json.loads(out[: out.rindex("}") + 1])
+    assert code == {"partial": 4, "failed": 3}[cert["overall"]]
+    assert cert["conclusion"]["statement"].startswith("rank records missing")
+
+
 def test_verify_partial_exits_4(capsys, tmp_path):
     blob = json.loads(bundled_scenario_path("ex_176_kummer7").read_text())
     blob["rank_records"] = []
@@ -110,7 +152,7 @@ def test_examples_unknown(capsys):
 
 
 def test_examples_all(capsys):
-    code, out, _ = run(capsys, "examples", "all", "--jobs", "2")
+    code, out, _ = run(capsys, "examples", "all")
     assert code == 0
     assert out.count("PASS") == 6
     assert "all pass" in out

@@ -43,11 +43,24 @@ def test_known_eigenform_coefficients():
 
 
 def test_bsgs_agrees_with_naive(e1_52):
-    for q in (10007, 10039):
-        assert hecke._count_bsgs(e1_52, q) == hecke._count_naive(e1_52, q)
+    cm43 = WeierstrassModel.from_list([0, 0, 1, -860, 9707])
+    cases = [
+        (e1_52, 10007),
+        (e1_52, 10039),
+        # |a_q| = isqrt(4q) = 2 * isqrt(q) + 1: #E lies just outside q + 1 -/+ 2 * isqrt(q)
+        (WeierstrassModel.from_list([0, 0, 0, 0, 3]), 7),
+        (WeierstrassModel.from_list([0, 0, 0, 0, 4]), 13),
+        (WeierstrassModel.from_list([0, 0, 0, 1, 11]), 23),
+        (WeierstrassModel.from_list([0, 0, 0, 0, 3]), 31),
+        # CM by Q(sqrt(-43)) and 4 * 10111 = 201^2 + 43
+        (cm43, 10111),
+    ]
+    for m, q in cases:
+        assert hecke._count_bsgs(m, q) == hecke._count_naive(m, q), (m, q)
     rec = a_q(e1_52, 10007)
     assert rec.method == "bsgs"
     assert a_q(e1_52, 9973).method == "naive-count"
+    assert a_q(cm43, 10111) == hecke.ApRecord(10111, 201, "bsgs")
 
 
 def test_bad_prime_rules(e2_364):
