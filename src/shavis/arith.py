@@ -9,6 +9,8 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 #: Distinguished valuation of 0 (larger than any finite valuation).
@@ -117,11 +119,57 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError_(f"pollard rho failed to split {n}")
 
 
-def factor(n: int, *, trial_bound: int = 100000) -> dict[int, int]:
+#: The wheel divides by every d <= _WHEEL_BOUND coprime to 30.
+_WHEEL_BOUND = 1000
+#: Primes up to here are tried before Pollard rho.
+_TRIAL_BOUND = 100_000
+#: Consecutive primes whose product one gcd screens.
+_RUN_LENGTH = 64
+
+
+@functools.cache
+def _screening_runs() -> tuple[tuple[int, int], ...]:
+    """(first prime, product of the run) for runs of _RUN_LENGTH consecutive
+    primes in (_WHEEL_BOUND, _TRIAL_BOUND]; about 20 KB, built on first use."""
+    ps = [p for p in primes(_TRIAL_BOUND) if p > _WHEEL_BOUND]
+    return tuple(
+        (ps[i], math.prod(ps[i : i + _RUN_LENGTH])) for i in range(0, len(ps), _RUN_LENGTH)
+    )
+
+
+def _screen(n: int, out: dict[int, int]) -> int:
+    """Divide out of n, in increasing order, the primes in (_WHEEL_BOUND,
+    _TRIAL_BOUND] up to isqrt(n); returns the cofactor.
+
+    A run whose product is coprime to n is skipped with one gcd; only a run
+    that shares a factor with n is walked by odd d.
+    """
+    for start, product in _screening_runs():
+        if start * start > n:
+            break
+        g = math.gcd(n, product)
+        d = start
+        while g > 1:
+            if d * d > n:
+                return n
+            if g % d == 0:
+                g //= d
+                e, n = padic_split(n, d)
+                out[d] = e
+            d += 2
+    return n
+
+
+def factor(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}. n != 0.
 
-    Trial division up to ``trial_bound`` then Pollard rho on the cofactor.
-    Intended for conductor/discriminant sized inputs, not cryptographic ones.
+    Trial division by every prime up to 10^5, stopping once d*d exceeds the
+    cofactor: a 2-3-5 wheel for d <= 1000, then a gcd screen against the
+    products of runs of 64 primes (the run table is built on first use, so
+    inputs without a cofactor above 1000^2 never pay for it). Pollard rho
+    splits what is left. Primes come out in increasing order, then the
+    factors of the cofactor. Intended for conductor/discriminant sized
+    inputs, not cryptographic ones.
     """
     if n == 0:
         raise ArithmeticError_("factor(0)")
@@ -134,12 +182,14 @@ def factor(n: int, *, trial_bound: int = 100000) -> dict[int, int]:
     d = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while d * d <= n and d <= trial_bound:
+    while d * d <= n and d <= _WHEEL_BOUND:
         if n % d == 0:
             e, n = padic_split(n, d)
             out[d] = e
         d += wheel[i]
         i = (i + 1) % 8
+    if d * d <= n:
+        n = _screen(n, out)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -221,17 +271,16 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 
 def primes(bound: int):
-    """Iterate primes <= bound (simple sieve)."""
+    """Iterate primes <= bound (sieve of Eratosthenes over the odd numbers)."""
     if bound < 2:
         return
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(range(p * p, bound + 1, p))
-    for p in range(2, bound + 1):
-        if sieve[p]:
-            yield p
+    yield 2
+    odd = bytearray([1]) * ((bound + 1) // 2)  # odd[i] stands for 2i + 1
+    odd[0] = 0
+    for p in range(3, math.isqrt(bound) + 1, 2):
+        if odd[p // 2]:
+            odd[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(odd), p)))
+    yield from itertools.compress(range(1, bound + 1, 2), odd)
 
 
 def prime_divisors(n: int) -> list[int]:

@@ -165,7 +165,8 @@ def _model_from_c4c6(c4: int, c6: int) -> WeierstrassModel:
     a6 = arith.exact_div(b6 - a3, 4)
     m = WeierstrassModel(*map(Fraction, (a1, a2, a3, a4, a6)))
     inv = invariants(m)
-    assert (inv.c4, inv.c6) == (c4, c6), "c4/c6 reconstruction mismatch"
+    if (inv.c4, inv.c6) != (c4, c6):
+        raise ArithmeticError_("c4/c6 reconstruction mismatch")
     return m
 
 
@@ -209,7 +210,8 @@ def minimal_model(model: WeierstrassModel) -> tuple[WeierstrassModel, Isomorphis
     r = (uf**2 * minimal.a2 - work.a2 + s * work.a1 + s * s) / 3
     t = (uf**3 * minimal.a3 - work.a3 - r * work.a1) / 2
     iso = Isomorphism(uf, r, s, t)
-    assert transform(work, iso) == minimal, "minimalization transform mismatch"
+    if transform(work, iso) != minimal:
+        raise ArithmeticError_("minimalization transform mismatch")
     return minimal, iso0.compose(iso)
 
 

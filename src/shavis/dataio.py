@@ -9,7 +9,6 @@ point search only ever asserts a lower bound.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -431,6 +430,8 @@ class RemoteClient:
         return f"{self.base_url}/?{params}&_format=json"
 
     def _cache_path(self, url: str) -> Path:
+        import hashlib  # loads OpenSSL; only the remote tier needs it
+
         digest = hashlib.sha256(url.encode()).hexdigest()
         return self.cache_dir / f"{digest}.json"
 

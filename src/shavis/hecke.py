@@ -35,8 +35,8 @@ class ApRecord:
     method: str  # naive-count | bsgs | bad-prime-rule
 
     def __post_init__(self):
-        if self.method != "bad-prime-rule":
-            assert self.a_q * self.a_q <= 4 * self.q, f"Hasse bound violated at {self.q}"
+        if self.method != "bad-prime-rule" and self.a_q * self.a_q > 4 * self.q:
+            raise ArithmeticError_(f"Hasse bound violated at {self.q}")
 
 
 def _reduced_ainvs(model: WeierstrassModel, q: int) -> tuple[int, ...]:

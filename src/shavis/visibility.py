@@ -247,9 +247,14 @@ class _Engine:
         return HOLDS if all(c.certified for c in certs.values()) else FAILS, evidence
 
     def ramification(self) -> tuple[str, dict]:
-        res = fields.check_ramification_condition(self.s.base_field, self.s.n)
+        """e_p(L) < p - 1; inconclusive where the splitting of p in L is out of reach."""
+        statement = f"e_p(L) < p-1 for p | {self.s.n} with L = {self.s.base_field.describe()}"
+        try:
+            res = fields.check_ramification_condition(self.s.base_field, self.s.n)
+        except fields.UnsupportedFieldError as exc:
+            return INCONCLUSIVE, {"statement": statement, "error": str(exc)}
         ev = {
-            "statement": f"e_p(L) < p-1 for p | {self.s.n} with L = {self.s.base_field.describe()}",
+            "statement": statement,
             "primes": {str(p): d for p, d in res["primes"].items()},
         }
         return HOLDS if res["holds"] else FAILS, ev
@@ -569,6 +574,9 @@ def _conclude_exten(eng: _Engine):
     if image_rank > 0:
         inj = " (injective)" if kernel_rank == 0 else ""
         statement = f"image of rank >= {image_rank} in Vis_J(Sha(A/{kummer.describe()}))[{p}]{inj}"
+    elif gap > 0:
+        statement = (f"no nontrivial lower bound (image rank {rank_b_k - kernel_rank} <= 0"
+                     f" with kernel rank bound {kernel_rank})")
     else:
         statement = f"no nontrivial lower bound (rank gap {gap} <= 0)"
     conclusion = {

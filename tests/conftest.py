@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import shavis
 from shavis import dataio
 from shavis.curves import WeierstrassModel
 
@@ -17,3 +23,19 @@ def e1_52():
 @pytest.fixture(scope="session")
 def e2_364():
     return WeierstrassModel.from_list([0, 0, 0, -584, 5444])
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Run a Python snippet in a fresh interpreter that imports this shavis;
+    returns its stripped stdout."""
+    src = str(Path(shavis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(code: str, *flags: str) -> str:
+        done = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    return run

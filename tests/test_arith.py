@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shavis import arith
 
@@ -108,6 +108,8 @@ def test_primality_deterministic_range():
     assert 151 * 751 * 28351 == 3215031751
     for n in (1, 0, -7, 561, 41041, 825265, 3215031751):
         assert not arith.is_prime(n), n
+    for bound in (0, 1, 2, 3, 4, 9, 10, 11, 1000, 1009):
+        assert list(arith.primes(bound)) == [n for n in range(bound + 1) if arith.is_prime(n)]
 
 
 def test_factor_and_squarefree():
@@ -120,8 +122,76 @@ def test_factor_and_squarefree():
         arith.factor(0)
 
 
+def reference_factor(n):
+    """The 2-3-5 wheel up to 10^5 that factor() used before its gcd screen."""
+    n = abs(n)
+    out = {}
+    for p in (2, 3, 5):
+        if n % p == 0:
+            e, n = arith.padic_split(n, p)
+            out[p] = e
+    d = 7
+    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
+    i = 0
+    while d * d <= n and d <= 100000:
+        if n % d == 0:
+            e, n = arith.padic_split(n, d)
+            out[d] = e
+        d += wheel[i]
+        i = (i + 1) % 8
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if arith.is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        f = arith._pollard_rho(m)
+        stack.append(f)
+        stack.append(m // f)
+    return out
+
+
+_ABOVE_WHEEL = [p for p in arith.primes(100000) if p > 1000]
+#: Primes next to the wheel bound 1000, next to the edges of the 64-prime
+#: runs the gcd screen uses, next to 10^5, and past it (rho's side).
+_FACTOR_POOL = sorted(
+    {2, 3, 5, 7, 31, 991, 997}
+    | {p for k in range(0, len(_ABOVE_WHEEL), 64) for p in _ABOVE_WHEEL[max(k - 1, 0) : k + 2]}
+    | {99989, 99991, 100003, 1000003, 10**9 + 7}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(99991**2, 1)
+@example(99989 * 99991, -1)
+@example(100003, 1)
+@example(997 * 1009, 1)
+@example(_ABOVE_WHEEL[63] * _ABOVE_WHEEL[64], 1)  # the last of a run and the first of the next
+@example(2 * _ABOVE_WHEEL[64] ** 3 * 100003, 1)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_FACTOR_POOL), min_size=1, max_size=7).map(math.prod),
+        st.integers(1, 10**18),
+    ).filter(lambda n: n <= 10**18),
+    st.sampled_from((1, -1)),
+)
+def test_factor_matches_the_wheel_reference(n, sign):
+    assert list(arith.factor(sign * n).items()) == list(reference_factor(n).items())
+
+
 def test_mu_index():
     # mu(364) = 364 * (3/2)(8/7)(14/13) = 672
     assert arith.mu_index(364) == 672
     assert arith.mu_index(11) == 12
     assert arith.mu_index(1) == 1
+
+
+def test_import_and_dataset_load_stay_light(run_python):
+    # OpenSSL (via hashlib) costs every process RSS, and the dataset's
+    # factorizations never need the gcd screen's run table.
+    out = run_python(
+        "import sys, shavis\n"
+        "shavis.load_dataset()\n"
+        "print('_hashlib' in sys.modules, shavis.arith._screening_runs.cache_info().currsize)"
+    )
+    assert out == "False 0"

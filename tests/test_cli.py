@@ -141,6 +141,23 @@ def test_verify_partial_exits_4(capsys, tmp_path):
     assert code == 4
 
 
+def test_verify_kummer_base_field_is_partial(capsys, tmp_path):
+    # the splitting of 3 in Q(mu_3)(7^(1/3)) is out of reach: A.b is
+    # inconclusive, not an internal error
+    blob = json.loads(bundled_scenario_path("ex_176_kummer7").read_text())
+    blob["base_field"] = {"kind": "kummer", "p": 3, "m": 7}
+    path = tmp_path / "kummer_base.json"
+    path.write_text(json.dumps(blob))
+    out_file = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "verify", str(path), "--out", str(out_file))
+    assert code == 4
+    cert = json.loads(out_file.read_text())
+    assert cert["overall"] == "partial"
+    (ab,) = [v for v in cert["verdicts"] if v["id"] == "A.b"]
+    assert ab["status"] == "inconclusive"
+    assert "depends on 7 mod 3^2" in ab["evidence"]["error"]
+
+
 def test_examples_single(capsys):
     code, out, _ = run(capsys, "examples", "ex1")
     assert code == 0

@@ -143,3 +143,17 @@ def test_splitness_coherence_with_a_q(cp):
         rec = a_q(m, l.q)
         expected = {"split-mult": 1, "nonsplit-mult": -1, "additive": 0}[l.reduction_class]
         assert rec.a_q == expected
+
+
+def test_hasse_guard_survives_python_O(run_python):
+    out = run_python(
+        "import sys\n"
+        "from shavis.arith import ArithmeticError_\n"
+        "from shavis.hecke import ApRecord\n"
+        "try:\n"
+        "    ApRecord(5, 100, 'naive-count')\n"
+        "except ArithmeticError_ as exc:\n"
+        "    print(sys.flags.optimize, exc)\n",
+        "-O",
+    )
+    assert out == "1 Hasse bound violated at 5"

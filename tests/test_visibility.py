@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from shavis import arith
 from shavis.curves import WeierstrassModel
-from shavis.scenario import load_bundled_scenario, scenario_from_dict
+from shavis.scenario import bundled_scenario_path, load_bundled_scenario, scenario_from_dict
 from shavis.visibility import (
     THEOREM_HYPOTHESES,
     ScenarioError,
@@ -190,6 +190,22 @@ def test_exten_partial_without_rank_records(dataset):
     cert = verify_scenario(stripped, dataset)
     assert cert.overall == "partial"
     assert "rank records missing" in cert.conclusion["statement"]
+
+
+def test_exten_vacuous_statement_names_the_image_rank(dataset):
+    # rank A/M = 4 puts the kernel bound at rank B/K = 2: the rank gap is 2
+    # but the image rank is 0
+    blob = json.loads(bundled_scenario_path("ex_176_kummer7").read_text())
+    blob["rank_records"][0]["rank"] = 4
+    c = verify_scenario(scenario_from_dict(blob), dataset).conclusion
+    assert (c["rank_gap"], c["image_rank"], c["kernel_rank_bound"]) == (2, 0, 2)
+    assert c["vacuous"] and c["min_visible_order"] == 1
+    assert c["statement"] == ("no nontrivial lower bound (image rank 0 <= 0"
+                              " with kernel rank bound 2)")
+    # a nonpositive rank gap keeps the old statement
+    blob["rank_records"][2]["rank"] = 0
+    c = verify_scenario(scenario_from_dict(blob), dataset).conclusion
+    assert c["statement"] == "no nontrivial lower bound (rank gap 0 <= 0)"
 
 
 def test_lemma_twist_spec_paths(e1_52):
