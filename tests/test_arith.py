@@ -170,7 +170,7 @@ _FACTOR_POOL = sorted(
 @example(2 * _ABOVE_WHEEL[64] ** 3 * 100003, 1)
 @given(
     st.one_of(
-        st.lists(st.sampled_from(_FACTOR_POOL), min_size=1, max_size=7).map(math.prod),
+        st.lists(st.sampled_from(_FACTOR_POOL), min_size=1, max_size=5).map(math.prod),
         st.integers(1, 10**18),
     ).filter(lambda n: n <= 10**18),
     st.sampled_from((1, -1)),
