@@ -34,6 +34,11 @@ class ArithmeticError_(ValueError):
     """Invalid input to an arithmetic primitive (e.g. Kronecker with n = 0)."""
 
 
+class SoundnessError(AssertionError):
+    """A computed result broke a mathematical invariant: a bug, not bad input
+    (raised explicitly, so it holds under `python -O`; the CLI exits 5)."""
+
+
 def valuation(n: int, q: int) -> int | float:
     """Largest e with q**e dividing n; INFINITY for n = 0."""
     if q < 2:

@@ -21,6 +21,10 @@ from .curves import WeierstrassModel
 HEURISTIC = "heuristic"
 BOUNDED_PROOF = "bounded-proof"
 
+WITNESS_SEARCH_BOUND = 1000  # irreducibility witnesses: primes below this
+SMALL_ROOT_SCAN = 200  # division-polynomial roots tried first: |x| <= this
+DIVISOR_LIMIT = 100_000  # rational-root candidates: give up past this many divisors
+
 
 def congruence_bound(n_a: int, n_b: int) -> int:
     """Sturm-style bound floor(mu(N)/6) with N = lcm(N_A, N_B)."""
@@ -221,8 +225,7 @@ def _poly_eval_frac(coeffs, x):
     return acc
 
 
-def rational_division_roots(model: WeierstrassModel, p: int,
-                            small_scan: int = 200) -> list:
+def rational_division_roots(model: WeierstrassModel, p: int) -> list:
     """Rational roots of the p-division polynomial (p odd prime).
 
     Candidates come from the rational root theorem (numerator divides the
@@ -241,7 +244,7 @@ def rational_division_roots(model: WeierstrassModel, p: int,
         coeffs = coeffs[1:]
         shift += 1
     lead, const = coeffs[-1], coeffs[0]
-    for x in range(-small_scan, small_scan + 1):
+    for x in range(-SMALL_ROOT_SCAN, SMALL_ROOT_SCAN + 1):
         if _poly_eval_frac(coeffs, x) == 0:
             roots.add(Fraction(x))
     try:
@@ -259,14 +262,14 @@ def rational_division_roots(model: WeierstrassModel, p: int,
     return sorted(roots)
 
 
-def _divisors(n: int, limit: int = 100000) -> list[int]:
+def _divisors(n: int) -> list[int]:
     if n == 0:
         return [1]
     fac = arith.factor(n)
     divs = [1]
     for q, e in fac.items():
         divs = [d * q**k for d in divs for k in range(e + 1)]
-        if len(divs) > limit:
+        if len(divs) > DIVISOR_LIMIT:
             raise ArithmeticError_("divisor explosion")
     return divs
 
@@ -327,7 +330,6 @@ def irreducible_mod_p(
     model: WeierstrassModel,
     p: int,
     field: fields.NumberFieldDescriptor = fields.RATIONALS,
-    search_bound: int = 1000,
 ) -> IrreducibilityVerdict:
     """Decide irreducibility of the mod-p torsion module over the field.
 
@@ -339,7 +341,7 @@ def irreducible_mod_p(
     if p == 2 or not arith.is_prime(p):
         raise ArithmeticError_(f"need an odd prime, got {p}")
     n, _ = localdata.conductor(model)
-    for q in arith.primes(search_bound):
+    for q in arith.primes(WITNESS_SEARCH_BOUND):
         if (p * n) % q == 0:
             continue
         if not _is_split_in(field, q):
@@ -358,7 +360,7 @@ def irreducible_mod_p(
             note="rational point" if lifts else "stable {+-P} pair (x rational, y quadratic)",
         )
     return IrreducibilityVerdict(
-        "Inconclusive", note=f"no witness below {search_bound}, no rational p-torsion x"
+        "Inconclusive", note=f"no witness below {WITNESS_SEARCH_BOUND}, no rational p-torsion x"
     )
 
 

@@ -1,5 +1,6 @@
-"""Weierstrass models over Q: invariants, coordinate changes, global minimal
-models (Laska-Kraus-Connell) and quadratic twists.
+"""Weierstrass models over Q: the one copy of the invariant and change of
+variables formulas (on ints or Fractions), global minimal models
+(Laska-Kraus-Connell) and quadratic twists.
 
 Models are stored as the usual quintuple (a1, a2, a3, a4, a6) of rationals;
 a global minimal model always has integer entries. All arithmetic is exact.
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith
-from .arith import ArithmeticError_
+from .arith import ArithmeticError_, SoundnessError
 
 
 class SingularCurveError(ValueError):
@@ -98,35 +99,44 @@ class WeierstrassModel:
         return "[" + ",".join(str(a) for a in self.ainvs()) + "]"
 
 
-def invariants(model: WeierstrassModel) -> CurveInvariants:
-    """Classical b-, c-invariants, discriminant and j; rejects singular input."""
-    a1, a2, a3, a4, a6 = model.ainvs()
+def bc_invariants(a):
+    """(b2, b4, b6, b8, c4, c6, disc) of a quintuple of ints or Fractions."""
+    a1, a2, a3, a4, a6 = a
     b2 = a1 * a1 + 4 * a2
     b4 = a1 * a3 + 2 * a4
     b6 = a3 * a3 + 4 * a6
     b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
     c4 = b2 * b2 - 24 * b4
-    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
     disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, c4, c6, disc
+
+
+def invariants(model: WeierstrassModel) -> CurveInvariants:
+    """Classical b-, c-invariants, discriminant and j; rejects singular input."""
+    b2, b4, b6, b8, c4, c6, disc = bc_invariants(model.ainvs())
     if disc == 0:
         raise SingularCurveError(f"singular model {model}")
     return CurveInvariants(b2, b4, b6, b8, c4, c6, disc, c4**3 / disc)
 
 
-def discriminant(model: WeierstrassModel) -> Fraction:
-    return invariants(model).disc
+def translate(a, r, s, t) -> tuple:
+    """The (u = 1, r, s, t) change of variables on a quintuple of ints or Fractions."""
+    a1, a2, a3, a4, a6 = a
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
 
 
 def transform(model: WeierstrassModel, iso: Isomorphism) -> WeierstrassModel:
-    """Standard (u, r, s, t) change of variables."""
-    a1, a2, a3, a4, a6 = model.ainvs()
-    u, r, s, t = iso.u, iso.r, iso.s, iso.t
-    a1n = (a1 + 2 * s) / u
-    a2n = (a2 - s * a1 + 3 * r - s * s) / u**2
-    a3n = (a3 + r * a1 + 2 * t) / u**3
-    a4n = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4
-    a6n = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6
-    return WeierstrassModel(a1n, a2n, a3n, a4n, a6n)
+    """Standard (u, r, s, t) change of variables: translate, then scale by u."""
+    u = iso.u
+    a1, a2, a3, a4, a6 = translate(model.ainvs(), iso.r, iso.s, iso.t)
+    return WeierstrassModel(a1 / u, a2 / u**2, a3 / u**3, a4 / u**4, a6 / u**6)
 
 
 def integral_model(model: WeierstrassModel) -> tuple[WeierstrassModel, Isomorphism]:
@@ -166,7 +176,7 @@ def _model_from_c4c6(c4: int, c6: int) -> WeierstrassModel:
     m = WeierstrassModel(*map(Fraction, (a1, a2, a3, a4, a6)))
     inv = invariants(m)
     if (inv.c4, inv.c6) != (c4, c6):
-        raise ArithmeticError_("c4/c6 reconstruction mismatch")
+        raise SoundnessError("c4/c6 reconstruction mismatch")
     return m
 
 
@@ -211,7 +221,7 @@ def minimal_model(model: WeierstrassModel) -> tuple[WeierstrassModel, Isomorphis
     t = (uf**3 * minimal.a3 - work.a3 - r * work.a1) / 2
     iso = Isomorphism(uf, r, s, t)
     if transform(work, iso) != minimal:
-        raise ArithmeticError_("minimalization transform mismatch")
+        raise SoundnessError("minimalization transform mismatch")
     return minimal, iso0.compose(iso)
 
 

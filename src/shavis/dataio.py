@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import arith, curves, fields, localdata
-from .arith import ArithmeticError_
+from .arith import ArithmeticError_, SoundnessError
 from .curves import WeierstrassModel
 from .hecke import TORSION_MAX_ORDER, ModCurve
 
@@ -159,6 +159,7 @@ def load_dataset(path: str | Path | None = None) -> Dataset:
 # rational points, naive search
 
 Point = tuple[Fraction, Fraction]  # affine; None is the origin
+DEPENDENCE_WINDOW = 8  # relation coefficients searched among triples; pairs use 5x
 
 
 def point_on_curve(model: WeierstrassModel, pt: Point | None) -> bool:
@@ -210,9 +211,16 @@ def point_mul(model: WeierstrassModel, k: int, pt: Point | None) -> Point | None
 
 
 def is_torsion_exact(model: WeierstrassModel, pt: Point | None) -> bool:
-    """Torsion test via exact multiples up to the Mazur bound."""
+    """Torsion test via exact multiples up to the Mazur bound.
+
+    On an integral model every torsion point has 4x integral (generalized
+    Nagell-Lutz, Silverman AEC VII.3.4), so any other point is rejected
+    before a multiple of it, possibly of huge height, is taken.
+    """
     if pt is None:
         return True
+    if model.is_integral() and (4 * pt[0]).denominator != 1:
+        return False
     acc = pt
     for _ in range(2, TORSION_MAX_ORDER + 1):
         acc = point_add(model, acc, pt)
@@ -232,13 +240,10 @@ def _filter_curves(model: WeierstrassModel) -> list[ModCurve]:
     raise ArithmeticError_("no good filter primes found")  # unreachable
 
 
-def is_torsion(model: WeierstrassModel, pt: Point | None,
-               filters: list[ModCurve] | None = None) -> bool:
+def is_torsion(model: WeierstrassModel, pt: Point | None, filters: list[ModCurve]) -> bool:
     """Torsion test: reduction filter first, exact multiples only if needed."""
     if pt is None:
         return True
-    if filters is None:
-        filters = _filter_curves(model)
     for mc in filters:
         if not mc.small_order(mc.reduce(pt)):
             return False
@@ -250,9 +255,7 @@ def naive_height(pt: Point) -> int:
     return max(abs(x.numerator), x.denominator)
 
 
-def point_search(
-    model: WeierstrassModel, height_bound: int, dependence_window: int = 8
-) -> tuple[list[Point], int]:
+def point_search(model: WeierstrassModel, height_bound: int) -> tuple[list[Point], int]:
     """Search x = a/b^2 with naive height <= bound; returns (points, rank lower bound).
 
     Torsion points (order <= 12) are filtered out. Independence among the
@@ -263,10 +266,9 @@ def point_search(
         raise ArithmeticError_("height bound must be >= 1")
     minimal, _ = curves.minimal_model(model)
     filters = _filter_curves(minimal)
-    a1, a2, a3, a4, a6 = minimal.int_ainvs()
-    b2 = a1 * a1 + 4 * a2
-    b4 = a1 * a3 + 2 * a4
-    b6 = a3 * a3 + 4 * a6
+    ainvs = minimal.int_ainvs()
+    a1, a3 = ainvs[0], ainvs[2]
+    b2, b4, b6 = curves.bc_invariants(ainvs)[:3]
     found: list[Point] = []
     seen_x = set()
     for b in range(1, math.isqrt(height_bound) + 1):
@@ -288,11 +290,12 @@ def point_search(
             seen_x.add(x)
             y = (Fraction(r, b**3) - a1 * x - a3) / 2
             pt = (x, y)
-            assert point_on_curve(minimal, pt)
+            if not point_on_curve(minimal, pt):
+                raise SoundnessError(f"point search produced {pt}, which is off the curve")
             if not is_torsion(minimal, pt, filters):
                 found.append(pt)
     found.sort(key=naive_height)
-    independent = _select_independent(minimal, found, dependence_window, filters)
+    independent = _select_independent(minimal, found, DEPENDENCE_WINDOW, filters)
     return independent, len(independent)
 
 
@@ -378,11 +381,10 @@ ENV_OFFLINE = "SHAVIS_OFFLINE"
 
 
 def _default_fetcher(url: str):
-    import requests
+    from urllib.request import urlopen  # loads ssl and hashlib; only the remote tier needs them
 
-    resp = requests.get(url, timeout=30)
-    resp.raise_for_status()
-    return resp.json()
+    with urlopen(url, timeout=30) as resp:  # HTTP error statuses raise
+        return json.load(resp)
 
 
 def _lmfdb_adapter(payload: dict) -> list[dict]:
@@ -407,22 +409,18 @@ def _lmfdb_adapter(payload: dict) -> list[dict]:
 
 
 class RemoteClient:
-    """Cached HTTP client for a JSON curve database.
+    """Cached HTTP client for an LMFDB-style JSON curve database.
 
-    The adapter maps raw responses to record dicts, so pointing base_url at a
-    different service only needs a new adapter. Responses are cached on disk
-    keyed by the query; offline mode serves the cache only.
+    Responses are cached on disk keyed by the query; offline mode serves the
+    cache only. Whether the remote tier runs at all is the CLI's decision
+    (SHAVIS_OFFLINE).
     """
 
-    def __init__(self, base_url=None, cache_dir=None, offline=None, fetcher=None,
-                 adapter=_lmfdb_adapter):
+    def __init__(self, base_url=None, cache_dir=None, offline=False, fetcher=None):
         self.base_url = base_url or os.environ.get(ENV_BASE_URL, DEFAULT_BASE_URL)
         self.cache_dir = Path(cache_dir) if cache_dir else Path.home() / ".cache" / "shavis"
-        if offline is None:
-            offline = os.environ.get(ENV_OFFLINE, "") not in ("", "0", "false")
         self.offline = offline
         self.fetcher = fetcher or _default_fetcher
-        self.adapter = adapter
         self.request_count = 0
 
     def _url(self, query: dict) -> str:
@@ -455,7 +453,7 @@ class RemoteClient:
                 raise RemoteUnavailableError(f"fetch failed for {url}: {exc}") from exc
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             cache_file.write_text(json.dumps(payload, sort_keys=True))
-        return [CurveRecord.from_json(blob) for blob in self.adapter(payload)]
+        return [CurveRecord.from_json(blob) for blob in _lmfdb_adapter(payload)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import arith, curves, localdata
-from .arith import ArithmeticError_
+from .arith import ArithmeticError_, SoundnessError
 from .curves import WeierstrassModel
 
 NAIVE_LIMIT = 10_000
@@ -36,17 +36,15 @@ class ApRecord:
 
     def __post_init__(self):
         if self.method != "bad-prime-rule" and self.a_q * self.a_q > 4 * self.q:
-            raise ArithmeticError_(f"Hasse bound violated at {self.q}")
+            raise SoundnessError(f"Hasse bound violated at {self.q}")
 
 
-def _reduced_ainvs(model: WeierstrassModel, q: int) -> tuple[int, ...]:
-    minimal, _ = curves.minimal_model(model)
-    return tuple(int(a) % q for a in minimal.int_ainvs())
+def _good_at(minimal: WeierstrassModel, q: int) -> bool:
+    return int(curves.invariants(minimal).disc) % q != 0
 
 
 def has_good_reduction(model: WeierstrassModel, q: int) -> bool:
-    minimal, _ = curves.minimal_model(model)
-    return int(curves.invariants(minimal).disc) % q != 0
+    return _good_at(curves.minimal_model(model)[0], q)
 
 
 def count_points(model: WeierstrassModel, q: int) -> int:
@@ -55,16 +53,23 @@ def count_points(model: WeierstrassModel, q: int) -> int:
         raise ArithmeticError_(f"{q} is not prime")
     if q > HARD_LIMIT:
         raise ArithmeticError_(f"point counting capped at q <= {HARD_LIMIT}")
-    if not has_good_reduction(model, q):
+    minimal, _ = curves.minimal_model(model)
+    if not _good_at(minimal, q):
         raise BadReductionError(f"bad reduction at {q}; use the bad-prime rule")
+    return _count(minimal, q)
+
+
+def _count(minimal: WeierstrassModel, q: int) -> int:
+    """#E(F_q) of a minimal model with good reduction at the prime q <= HARD_LIMIT."""
     if q <= NAIVE_LIMIT:
-        return _count_naive(model, q)
-    return _count_bsgs(model, q)
+        return _count_naive(minimal, q)
+    return _count_bsgs(minimal, q)
 
 
 def _count_naive(model: WeierstrassModel, q: int) -> int:
-    a1, a2, a3, a4, a6 = _reduced_ainvs(model, q)
+    a = tuple(x % q for x in model.int_ainvs())
     if q == 2:
+        a1, a2, a3, a4, a6 = a
         count = 1
         for x in (0, 1):
             for y in (0, 1):
@@ -72,9 +77,7 @@ def _count_naive(model: WeierstrassModel, q: int) -> int:
                     count += 1
         return count
     # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
-    b2 = (a1 * a1 + 4 * a2) % q
-    b4 = (a1 * a3 + 2 * a4) % q
-    b6 = (a3 * a3 + 4 * a6) % q
+    b2, b4, b6 = (b % q for b in curves.bc_invariants(a)[:3])
     qr = bytearray(q)
     for z in range(1, (q + 1) // 2):
         qr[z * z % q] = 1
@@ -89,9 +92,8 @@ def _count_naive(model: WeierstrassModel, q: int) -> int:
 
 def _short_mod(model: WeierstrassModel, q: int) -> tuple[int, int]:
     """Coefficients (A, B) of an F_q-isomorphic y^2 = x^3 + Ax + B, q >= 5."""
-    inv = curves.invariants(curves.minimal_model(model)[0])
-    c4, c6 = int(inv.c4), int(inv.c6)
-    return (-27 * c4) % q, (-54 * c6) % q
+    short = curves.short_model(model)
+    return int(short.a4) % q, int(short.a6) % q
 
 
 class ModCurve:
@@ -174,7 +176,8 @@ class ModCurve:
         """All points of E(F_q) of order <= TORSION_MAX_ORDER (incl. identity)."""
         if self._small_set is not None:
             return self._small_set
-        a1, a2, a3, a4, a6 = self.a
+        a1, _, a3, _, _ = self.a
+        b2, b4, b6 = curves.bc_invariants(self.a)[:3]
         q = self.q
         sqrt_table = {}
         for z in range((q + 1) // 2):
@@ -182,12 +185,7 @@ class ModCurve:
         inv2 = pow(2, -1, q)
         small = {None}
         for x in range(q):
-            rhs = (
-                4 * x**3
-                + (a1 * a1 + 4 * a2) * x * x
-                + 2 * (a1 * a3 + 2 * a4) * x
-                + (a3 * a3 + 4 * a6)
-            ) % q
+            rhs = (4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % q
             s = sqrt_table.get(rhs)
             if s is None:
                 continue
@@ -287,7 +285,8 @@ def count_nonsingular_points(model: WeierstrassModel, q: int) -> int:
 
     Split multiplicative gives q - 1, nonsplit q + 1, additive q.
     """
-    a1, a2, a3, a4, a6 = _reduced_ainvs(model, q)
+    minimal, _ = curves.minimal_model(model)
+    a1, a2, a3, a4, a6 = (a % q for a in minimal.int_ainvs())
     count = 1
     for x in range(q):
         for y in range(q):
@@ -306,10 +305,13 @@ def a_q(model: WeierstrassModel, q: int) -> ApRecord:
     """The Fourier coefficient a_q, with the counting method recorded."""
     if not arith.is_prime(q):
         raise ArithmeticError_(f"{q} is not prime")
-    if has_good_reduction(model, q):
-        n = count_points(model, q)
+    minimal, _ = curves.minimal_model(model)
+    if _good_at(minimal, q):
+        if q > HARD_LIMIT:
+            raise ArithmeticError_(f"point counting capped at q <= {HARD_LIMIT}")
+        n = _count(minimal, q)
         return ApRecord(q, q + 1 - n, "naive-count" if q <= NAIVE_LIMIT else "bsgs")
-    local = localdata.tate_algorithm(model, q)
+    local = localdata.tate_algorithm(minimal, q)
     if local.reduction_class == localdata.SPLIT_MULT:
         return ApRecord(q, 1, "bad-prime-rule")
     if local.reduction_class == localdata.NONSPLIT_MULT:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import arith, curves, fields
-from .arith import ArithmeticError_, exact_div
+from .arith import ArithmeticError_, SoundnessError, exact_div
 from .curves import WeierstrassModel
 
 GOOD = "good"
@@ -39,13 +39,15 @@ class LocalReductionData:
     def __post_init__(self):
         # structural sanity of Tate output
         if self.reduction_class == GOOD:
-            assert self.f == 0 and self.c == 1
+            ok = self.f == 0 and self.c == 1
         elif self.reduction_class == SPLIT_MULT:
-            assert self.f == 1 and self.c == self.v_delta
+            ok = self.f == 1 and self.c == self.v_delta
         elif self.reduction_class == NONSPLIT_MULT:
-            assert self.f == 1 and self.c == (2 if self.v_delta % 2 == 0 else 1)
+            ok = self.f == 1 and self.c == (2 if self.v_delta % 2 == 0 else 1)
         else:
-            assert self.f >= 2 and 1 <= self.c <= 4
+            ok = self.f >= 2 and 1 <= self.c <= 4
+        if not ok:
+            raise SoundnessError(f"inconsistent local data {self.to_json()}")
 
     def to_json(self) -> dict:
         return {
@@ -74,6 +76,11 @@ class LocalFieldExtension:
     def __post_init__(self):
         if self.e < 1 or self.f < 1:
             raise ArithmeticError_("ramification/residue degrees must be >= 1")
+
+
+def _check(ok: bool, p: int) -> None:
+    if not ok:
+        raise SoundnessError(f"Tate's algorithm broke a step invariant at {p}")
 
 
 def _inv(a: int, p: int) -> int:
@@ -150,30 +157,6 @@ def _cubic_root_count(b: int, c: int, d: int, p: int) -> int:
     return len(a) - 1
 
 
-def _translate(a: tuple[int, ...], r: int, s: int, t: int) -> tuple[int, ...]:
-    """Integral (u=1, r, s, t) change of variables on an integer quintuple."""
-    a1, a2, a3, a4, a6 = a
-    return (
-        a1 + 2 * s,
-        a2 - s * a1 + 3 * r - s * s,
-        a3 + r * a1 + 2 * t,
-        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
-        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
-    )
-
-
-def _bc_invariants(a):
-    a1, a2, a3, a4, a6 = a
-    b2 = a1 * a1 + 4 * a2
-    b4 = a1 * a3 + 2 * a4
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    c4 = b2 * b2 - 24 * b4
-    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
-    delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    return b2, b4, b6, b8, c4, c6, delta
-
-
 def tate_algorithm(model: WeierstrassModel, q: int) -> LocalReductionData:
     """Kodaira type, conductor exponent, Tamagawa number and splitness at q."""
     if not arith.is_prime(q):
@@ -183,7 +166,7 @@ def tate_algorithm(model: WeierstrassModel, q: int) -> LocalReductionData:
     p = q
 
     while True:
-        b2, b4, b6, b8, c4, c6, delta = _bc_invariants(a)
+        b2, b4, b6, b8, c4, c6, delta = curves.bc_invariants(a)
         if delta == 0:
             raise curves.SingularCurveError(f"singular model {model}")
         n = arith.valuation(delta, p)
@@ -210,11 +193,11 @@ def tate_algorithm(model: WeierstrassModel, q: int) -> LocalReductionData:
                 r = -(c6 + b2 * c4) * _inv(12 * c4, p)
             r %= p
             t = (-(a1 * r + a3) * _inv(2, p)) % p
-        a = _translate(a, r, 0, t)
+        a = curves.translate(a, r, 0, t)
         a1, a2, a3, a4, a6 = a
-        assert a3 % p == 0 and a4 % p == 0 and a6 % p == 0
+        _check(a3 % p == 0 and a4 % p == 0 and a6 % p == 0, p)
         # b-invariants are not translation-invariant; refresh before testing
-        b2, b4, b6, b8, c4, c6, delta = _bc_invariants(a)
+        b2, b4, b6, b8, c4, c6, delta = curves.bc_invariants(a)
 
         if c4 % p != 0:
             # Type I_n, multiplicative; splitness from the tangent quadratic
@@ -238,10 +221,10 @@ def tate_algorithm(model: WeierstrassModel, q: int) -> LocalReductionData:
         else:
             s = (-a1 * _inv(2, p)) % p
             t = (-a3 * _inv(2, p * p)) % (p * p)
-        a = _translate(a, 0, s, t)
+        a = curves.translate(a, 0, s, t)
         a1, a2, a3, a4, a6 = a
-        assert a1 % p == 0 and a2 % p == 0
-        assert a3 % p**2 == 0 and a4 % p**2 == 0 and a6 % p**3 == 0
+        _check(a1 % p == 0 and a2 % p == 0, p)
+        _check(a3 % p**2 == 0 and a4 % p**2 == 0 and a6 % p**3 == 0, p)
 
         # Step 6: cubic T^3 + b T^2 + c T + d from the depressed equation.
         b = exact_div(a2, p)
@@ -263,10 +246,10 @@ def tate_algorithm(model: WeierstrassModel, q: int) -> LocalReductionData:
                 r = (b * cc) % 3
             else:
                 r = ((b * cc - 9 * d) * _inv(2 * x, p)) % p
-            a = _translate(a, p * r, 0, 0)
+            a = curves.translate(a, p * r, 0, 0)
             a1, a2, a3, a4, a6 = a
-            assert a2 % p == 0 and a2 % p**2 != 0
-            assert a4 % p**3 == 0 and a6 % p**4 == 0
+            _check(a2 % p == 0 and a2 % p**2 != 0, p)
+            _check(a4 % p**3 == 0 and a6 % p**4 == 0, p)
 
             ix, iy = 3, 3
             mx, my = p * p, p * p
@@ -281,7 +264,7 @@ def tate_algorithm(model: WeierstrassModel, q: int) -> LocalReductionData:
                     c = 4 if _quad_has_root(1, a3t, -a6t, p) else 2
                     return LocalReductionData(p, f"I{m}*", n - m - 4, c, n, ADDITIVE)
                 t = my * ((a6t % 2) if p == 2 else (-a3t * _inv(2, p)) % p)
-                a = _translate(a, 0, 0, t)
+                a = curves.translate(a, 0, 0, t)
                 a1, a2, a3, a4, a6 = a
                 iy += 1
                 my *= p
@@ -295,7 +278,7 @@ def tate_algorithm(model: WeierstrassModel, q: int) -> LocalReductionData:
                     c = 4 if _quad_has_root(a2t, a4t, a6t, p) else 2
                     return LocalReductionData(p, f"I{m}*", n - m - 4, c, n, ADDITIVE)
                 r = mx * ((a6t * a2t) % 2 if p == 2 else (-a4t * _inv(2 * a2t, p)) % p)
-                a = _translate(a, r, 0, 0)
+                a = curves.translate(a, r, 0, 0)
                 a1, a2, a3, a4, a6 = a
                 ix += 1
                 mx *= p
@@ -307,9 +290,9 @@ def tate_algorithm(model: WeierstrassModel, q: int) -> LocalReductionData:
             r = (-d) % 3
         else:
             r = (-b * _inv(3, p)) % p
-        a = _translate(a, p * r, 0, 0)
+        a = curves.translate(a, p * r, 0, 0)
         a1, a2, a3, a4, a6 = a
-        assert a2 % p**2 == 0 and a4 % p**3 == 0 and a6 % p**4 == 0
+        _check(a2 % p**2 == 0 and a4 % p**3 == 0 and a6 % p**4 == 0, p)
 
         # Step 8: quadratic Y^2 + (a3/p^2) Y - a6/p^4
         a3t = exact_div(a3, p * p)
@@ -318,9 +301,9 @@ def tate_algorithm(model: WeierstrassModel, q: int) -> LocalReductionData:
             c = 3 if _quad_has_root(1, a3t, -a6t, p) else 1
             return LocalReductionData(p, "IV*", n - 6, c, n, ADDITIVE)
         t = p * p * ((a6t % 2) if p == 2 else (-a3t * _inv(2, p)) % p)
-        a = _translate(a, 0, 0, t)
+        a = curves.translate(a, 0, 0, t)
         a1, a2, a3, a4, a6 = a
-        assert a3 % p**3 == 0 and a6 % p**5 == 0
+        _check(a3 % p**3 == 0 and a6 % p**5 == 0, p)
 
         if a4 % p**4 != 0:
             return LocalReductionData(p, "III*", n - 7, 2, n, ADDITIVE)
@@ -424,11 +407,6 @@ def tamagawa_over_extension(local: LocalReductionData, ext: LocalFieldExtension)
     return 4 if f % 2 == 0 else 2
 
 
-def bad_primes(model: WeierstrassModel) -> list[int]:
-    minimal, _ = curves.minimal_model(model)
-    return arith.prime_divisors(int(curves.invariants(minimal).disc))
-
-
 @dataclass(frozen=True)
 class TamagawaVerdict:
     """Outcome of the p-unit Tamagawa check over a field."""
@@ -459,14 +437,11 @@ def is_p_unit_tamagawa(
     Returns offending primes, plus an inconclusive list where the base-change
     rules refuse (ramified additive reduction).
     """
-    minimal, _ = curves.minimal_model(model)
     detail: dict[int, dict] = {}
     offending, inconclusive = [], []
-    for q in bad_primes(minimal):
+    for local in conductor(model)[1]:
+        q = local.q
         if restrict_to is not None and q not in restrict_to:
-            continue
-        local = tate_algorithm(minimal, q)
-        if local.reduction_class == GOOD:
             continue
         split = fields.splitting_data(field, q)
         ext = LocalFieldExtension(q, split.e, split.f)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith, congruence, curves, dataio, fields, localdata
-from .arith import ArithmeticError_
+from .arith import ArithmeticError_, SoundnessError
 from .curves import WeierstrassModel
 
 HOLDS = "holds"
@@ -89,9 +89,6 @@ class VisibilityScenario:
     @property
     def n_primes(self) -> list[int]:
         return arith.prime_divisors(self.n)
-
-    def field_m(self) -> fields.NumberFieldDescriptor | None:
-        return self.target_quadratic or self.target_kummer
 
     def to_json(self) -> dict:
         out = {
@@ -752,7 +749,7 @@ def verify_lemma_twist(model: WeierstrassModel, d: int, p: int) -> list[Hypothes
          "direct_check": direct.to_json(),
          "consistent": consistent}))
     if applicable and not direct.all_coprime:
-        raise AssertionError(
+        raise SoundnessError(
             f"lemma hypotheses hold but direct Tamagawa check fails for twist by {d}: "
             f"{direct.to_json()}"
         )

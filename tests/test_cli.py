@@ -1,5 +1,6 @@
 import json
 
+from shavis import localdata
 from shavis.cli import main
 from shavis.scenario import bundled_scenario_path
 
@@ -37,6 +38,15 @@ def test_inspect_singular_exits_2(capsys):
 def test_inspect_malformed_exits_2(capsys):
     code, _, _ = run(capsys, "inspect", "[1,2,3]")
     assert code == 2
+
+
+def test_inspect_soundness_guard_exits_5(capsys, monkeypatch):
+    # a broken cubic root count makes Tate report I0* at 3 with c = 6: a bug
+    # in the program, not bad input, so the guard must reach exit 5
+    monkeypatch.setattr(localdata, "_cubic_root_count", lambda b, c, d, p: 5)
+    code, _, err = run(capsys, "inspect", "[0,0,0,-9,0]")
+    assert code == 5
+    assert err.startswith("internal error: inconsistent local data") and "'c': 6" in err
 
 
 def test_verify_bundled_ex1(capsys, tmp_path):

@@ -9,11 +9,13 @@ from shavis.curves import (
     Isomorphism,
     SingularCurveError,
     WeierstrassModel,
+    bc_invariants,
     invariants,
     minimal_model,
     minimal_discriminant,
     quadratic_twist,
     transform,
+    translate,
 )
 
 small_coeff = st.integers(min_value=-8, max_value=8)
@@ -49,6 +51,67 @@ def test_transform_identity_and_roundtrip(e1_52):
     assert transform(transform(e1_52, iso), iso.inverse()) == e1_52
     with pytest.raises(arith.ArithmeticError_):
         Isomorphism(0)
+
+
+# Reference copies of the formulas as Tate's algorithm and `transform` had
+# them before curves.py became their one home; kept here only.
+def _bc_invariants_reference(a):
+    a1, a2, a3, a4, a6 = a
+    b2 = a1 * a1 + 4 * a2
+    b4 = a1 * a3 + 2 * a4
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, c4, c6, delta
+
+
+def _translate_reference(a, r, s, t):
+    a1, a2, a3, a4, a6 = a
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
+
+
+def _transform_reference(model, iso):
+    a1, a2, a3, a4, a6 = model.ainvs()
+    u, r, s, t = iso.u, iso.r, iso.s, iso.t
+    a1n = (a1 + 2 * s) / u
+    a2n = (a2 - s * a1 + 3 * r - s * s) / u**2
+    a3n = (a3 + r * a1 + 2 * t) / u**3
+    a4n = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4
+    a6n = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6
+    return WeierstrassModel(a1n, a2n, a3n, a4n, a6n)
+
+
+big_int = st.integers(min_value=-10**6, max_value=10**6)
+nonzero_rational = st.fractions(max_denominator=50).filter(lambda u: u != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[big_int] * 5), st.tuples(*[big_int] * 3), nonzero_rational)
+def test_shared_formulas_match_references(a, rst, u):
+    r, s, t = rst
+    assert bc_invariants(a) == _bc_invariants_reference(a)
+    assert all(type(x) is int for x in bc_invariants(a))
+    assert translate(a, r, s, t) == _translate_reference(a, r, s, t)
+    model = WeierstrassModel.from_list(a)
+    fa = model.ainvs()
+    assert bc_invariants(fa) == _bc_invariants_reference(fa)
+    iso = Isomorphism(u, r, s, t)
+    assert transform(model, iso) == _transform_reference(model, iso)
+    try:
+        inv = invariants(model)
+    except SingularCurveError:
+        assert _bc_invariants_reference(a)[6] == 0
+    else:
+        assert (inv.b2, inv.b4, inv.b6, inv.b8, inv.c4, inv.c6, inv.disc) == (
+            _bc_invariants_reference(a))
 
 
 def test_disc_scales_by_u12(e1_52):

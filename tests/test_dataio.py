@@ -2,8 +2,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from shavis import fields
+from shavis import dataio, fields
 from shavis.curves import WeierstrassModel, minimal_model, quadratic_twist
 from shavis.dataio import (
     CurveRecord,
@@ -15,10 +16,13 @@ from shavis.dataio import (
     load_dataset,
     point_add,
     point_mul,
+    point_on_curve,
     point_search,
     rank_over,
     is_torsion_exact,
 )
+from shavis.curves import SingularCurveError, invariants
+from shavis.hecke import TORSION_MAX_ORDER
 
 
 def test_bundled_dataset_loads(dataset):
@@ -61,6 +65,81 @@ def test_point_search_finds_twist_generators(e2_364):
     assert bound >= 2
     for pt in pts:
         assert not is_torsion_exact(tw, pt)
+
+
+def _is_torsion_exact_reference(model, pt):
+    """The multiples-only loop from before the 4x screen, kept here only."""
+    if pt is None:
+        return True
+    acc = pt
+    for _ in range(2, TORSION_MAX_ORDER + 1):
+        acc = point_add(model, acc, pt)
+        if acc is None:
+            return True
+    return False
+
+
+#: Points of finite order on integral models; the first has x = -1/4.
+TORSION_POINTS = [
+    ([1, 0, 0, 4, 1], (Fraction(-1, 4), Fraction(1, 8))),  # order 2
+    ([0, 0, 0, 0, 1], (2, 3)),  # order 6
+    ([0, -1, 1, 0, 0], (0, 0)),  # order 5
+    ([1, 0, 0, -45, 81], (0, 9)),
+    ([0, 0, 0, -1, 0], (1, 0)),  # order 2
+]
+
+
+def test_is_torsion_exact_keeps_torsion():
+    for ainvs, (x, y) in TORSION_POINTS:
+        m = WeierstrassModel.from_list(ainvs)
+        pt = (Fraction(x), Fraction(y))
+        assert point_on_curve(m, pt)
+        assert is_torsion_exact(m, pt) and _is_torsion_exact_reference(m, pt), ainvs
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(*[st.integers(-3, 3)] * 4),
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+    st.integers(1, 4),
+)
+@example((0, 0, 0, -1), 1, 0, 2)  # 2P = O
+@example((1, 0, 0, -45), 0, 9, 3)  # a torsion multiple
+def test_is_torsion_exact_screen_matches_reference(a1234, x0, y0, k):
+    # an integral point P on an integral model (a6 solved for), then kP,
+    # whose x usually has a large denominator
+    a1, a2, a3, a4 = a1234
+    a6 = y0 * y0 + a1 * x0 * y0 + a3 * y0 - x0**3 - a2 * x0 * x0 - a4 * x0
+    m = WeierstrassModel.from_list([a1, a2, a3, a4, a6])
+    try:
+        invariants(m)
+    except SingularCurveError:
+        assume(False)
+    pt = point_mul(m, k, (Fraction(x0), Fraction(y0)))
+    assert is_torsion_exact(m, pt) == _is_torsion_exact_reference(m, pt)
+
+
+def test_excluded_twists_finish(run_python):
+    # (pair, d) whose point search used to stall in the exact relation check
+    # for minutes; the 4x screen rejects those combinations at once
+    out = run_python(
+        "from shavis import dataio, scenario, visibility\n"
+        "ds = dataio.load_dataset()\n"
+        "pairs = [([1, -1, 1, -57, 222], [1, -1, 1, -91, -310], -39),\n"
+        "         ([0, -1, 1, 20, -8], [1, 1, 0, -9, 8], 335),\n"
+        "         ([0, 1, 0, -5, -13], [0, 1, 0, 56, -588], -71)]\n"
+        "for a, b, d in pairs:\n"
+        "    blob = {'schema_version': 1, 'name': f'twist_{d}', 'theorem': 'quadratic',\n"
+        "            'p': 3, 'curve_a': a, 'curve_b': b,\n"
+        "            'base_field': {'kind': 'rationals'}, 'field_k': {'kind': 'rationals'},\n"
+        "            'target': {'kind': 'quadratic', 'd': d},\n"
+        "            'rank_records': [], 'user_assertions': [],\n"
+        "            'options': {'mode': 'bounded-proof', 'evidence': 'summary'}}\n"
+        "    cert = visibility.verify_scenario(scenario.scenario_from_dict(blob), ds)\n"
+        "    print(d, cert.overall, cert.conclusion['min_visible_order'])\n"
+    )
+    assert out.splitlines() == ["-39 partial 9", "335 partial 9", "-71 partial 9"]
 
 
 def test_point_search_rank_zero_curve(e1_52):
@@ -173,6 +252,19 @@ def test_remote_network_failure_falls_back(tmp_path):
                       offline=False, fetcher=lambda url: FAKE_PAYLOAD)
     ok.fetch(364)
     assert client.fetch(364)[0].conductor == 364  # served from cache
+
+
+def test_default_fetcher_reads_a_json_url(tmp_path):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(FAKE_PAYLOAD))
+    assert dataio._default_fetcher(path.as_uri()) == FAKE_PAYLOAD
+
+
+def test_default_fetcher_failure_is_remote_unavailable(tmp_path):
+    client = RemoteClient(base_url=(tmp_path / "missing").as_uri(),
+                          cache_dir=tmp_path / "cache")
+    with pytest.raises(RemoteUnavailableError):
+        client.fetch(364)
 
 
 def test_curve_record_roundtrip():

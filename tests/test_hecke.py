@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shavis import arith, hecke, localdata
+from shavis import arith, curves, hecke, localdata
 from shavis.curves import WeierstrassModel
 from shavis.hecke import BadReductionError, a_q, count_nonsingular_points, count_points
 
@@ -145,15 +147,39 @@ def test_splitness_coherence_with_a_q(cp):
         assert rec.a_q == expected
 
 
+def test_a_q_minimalizes_once(monkeypatch, e1_52):
+    calls = []
+    real = curves.minimal_model
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(curves, "minimal_model", counting)
+    shown = curves.transform(e1_52, curves.Isomorphism(Fraction(1, 2), 1, 1, 1))
+    for q, method in ((3, "naive-count"), (10007, "bsgs"), (13, "bad-prime-rule")):
+        calls.clear()
+        assert a_q(shown, q).method == method
+        assert len(calls) == 1, (q, len(calls))
+
+
 def test_hasse_guard_survives_python_O(run_python):
+    # the Hasse bound and one Tate-structure guard (I0* with c = 7)
     out = run_python(
         "import sys\n"
-        "from shavis.arith import ArithmeticError_\n"
+        "from shavis.arith import SoundnessError\n"
         "from shavis.hecke import ApRecord\n"
-        "try:\n"
-        "    ApRecord(5, 100, 'naive-count')\n"
-        "except ArithmeticError_ as exc:\n"
-        "    print(sys.flags.optimize, exc)\n",
+        "from shavis.localdata import LocalReductionData\n"
+        "for make in (lambda: ApRecord(5, 100, 'naive-count'),\n"
+        "             lambda: LocalReductionData(5, 'I0*', 2, 7, 6, 'additive')):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except SoundnessError as exc:\n"
+        "        print(sys.flags.optimize, exc)\n",
         "-O",
     )
-    assert out == "1 Hasse bound violated at 5"
+    assert out.splitlines() == [
+        "1 Hasse bound violated at 5",
+        "1 inconsistent local data {'q': 5, 'kodaira': 'I0*', 'f': 2, 'c': 7, "
+        "'v_delta': 6, 'class': 'additive'}",
+    ]
