@@ -114,7 +114,7 @@ def cmd_verify(args) -> int:
         if args.evidence:
             scn = _with_options(scn, evidence_level=args.evidence)
         dataset = _load_dataset(args)
-    except (visibility.ScenarioError, dataio.DatasetError, FileNotFoundError) as exc:
+    except (visibility.ScenarioError, dataio.DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     remote = None

@@ -255,6 +255,33 @@ def naive_height(pt: Point) -> int:
     return max(abs(x.numerator), x.denominator)
 
 
+#: Moduli of the residue sieve in point_search, after Stoll's ratpoints: a
+#: square integer is a square modulo each of them.
+SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29)
+_SQUARES_MOD = tuple(frozenset(z * z % m for z in range(m)) for m in SIEVE_MODULI)
+
+
+def _sieve_mask(coeffs, height_bound: int, repunits) -> int:
+    """Bit a + H is set when t(a) = ((c3 a + c2) a + c1) a + c0 is a square
+    modulo every sieve modulus, for a in [-H, H]; other a cannot give a point.
+
+    Each modulus's pattern is built for one period (bit i stands for
+    a = i - H), then tiled across the range by one multiply with a repunit
+    in base 2^m.
+    """
+    c3, c2, c1, c0 = coeffs
+    mask = -1
+    for m, squares, repunit in zip(SIEVE_MODULI, _SQUARES_MOD, repunits):
+        d3, d2, d1, d0 = c3 % m, c2 % m, c1 % m, c0 % m
+        shift = height_bound % m  # residue r = a mod m sits at bit (r + H) mod m
+        period = 0
+        for r in range(m):
+            if (((d3 * r + d2) * r + d1) * r + d0) % m in squares:
+                period |= 1 << (r + shift) % m
+        mask &= period * repunit
+    return mask & ((1 << (2 * height_bound + 1)) - 1)
+
+
 def point_search(model: WeierstrassModel, height_bound: int) -> tuple[list[Point], int]:
     """Search x = a/b^2 with naive height <= bound; returns (points, rank lower bound).
 
@@ -266,18 +293,40 @@ def point_search(model: WeierstrassModel, height_bound: int) -> tuple[list[Point
         raise ArithmeticError_("height bound must be >= 1")
     minimal, _ = curves.minimal_model(model)
     filters = _filter_curves(minimal)
+    found = _nontorsion_points(minimal, height_bound, filters)
+    found.sort(key=naive_height)
+    independent = _select_independent(minimal, found, DEPENDENCE_WINDOW, filters)
+    return independent, len(independent)
+
+
+def _nontorsion_points(minimal: WeierstrassModel, height_bound: int,
+                       filters: list[ModCurve]) -> list[Point]:
+    """The non-torsion points with x = a/b^2, gcd(a, b) = 1, |a| <= bound and
+    b^2 <= bound, by b, then ascending a.
+
+    For each b the residue sieve (_sieve_mask) drops the a whose right-hand
+    side is a non-square modulo a few small moduli; every survivor still
+    takes the exact isqrt test.
+    """
     ainvs = minimal.int_ainvs()
     a1, a3 = ainvs[0], ainvs[2]
     b2, b4, b6 = curves.bc_invariants(ainvs)[:3]
+    width = 2 * height_bound + 1
+    # 1 + 2^m + 2^(2m) + ..., ceil(width / m) terms: tiles an m-bit period
+    repunits = [((1 << m * -(-width // m)) - 1) // ((1 << m) - 1) for m in SIEVE_MODULI]
     found: list[Point] = []
-    seen_x = set()
     for b in range(1, math.isqrt(height_bound) + 1):
-        bb, b4_, b6_ = b * b, b**4, b**6
-        c3, c2, c1, c0 = 4, b2 * bb, 2 * b4 * b4_, b6 * b6_
-        for a in range(-height_bound, height_bound + 1):
+        bb = b * b
+        # (2y + a1 x + a3)^2 * b^6 = 4a^3 + b2 a^2 b^2 + 2 b4 a b^4 + b6 b^6
+        c3, c2, c1, c0 = 4, b2 * bb, 2 * b4 * b**4, b6 * b**6
+        mask = _sieve_mask((c3, c2, c1, c0), height_bound, repunits)
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            a = low.bit_length() - 1 - height_bound
+            # coprime a, b put a/b^2 in lowest terms, so no x comes twice
             if math.gcd(a, b) != 1:
                 continue
-            # (2y + a1 x + a3)^2 * b^6 = 4a^3 + b2 a^2 b^2 + 2 b4 a b^4 + b6 b^6
             t = ((c3 * a + c2) * a + c1) * a + c0
             if t < 0:
                 continue
@@ -285,18 +334,13 @@ def point_search(model: WeierstrassModel, height_bound: int) -> tuple[list[Point
             if r * r != t:
                 continue
             x = Fraction(a, bb)
-            if x in seen_x:
-                continue
-            seen_x.add(x)
             y = (Fraction(r, b**3) - a1 * x - a3) / 2
             pt = (x, y)
             if not point_on_curve(minimal, pt):
                 raise SoundnessError(f"point search produced {pt}, which is off the curve")
             if not is_torsion(minimal, pt, filters):
                 found.append(pt)
-    found.sort(key=naive_height)
-    independent = _select_independent(minimal, found, DEPENDENCE_WINDOW, filters)
-    return independent, len(independent)
+    return found
 
 
 def _combination_is_trivial_exact(model, pts, coeffs) -> bool:

@@ -76,6 +76,11 @@ def _count_naive(model: WeierstrassModel, q: int) -> int:
                 if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0:
                     count += 1
         return count
+    return _count_residues(a, q)
+
+
+def _count_residues(a: tuple, q: int) -> int:
+    """#E(F_q) from a-invariants reduced at an odd prime q, in O(q)."""
     # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
     b2, b4, b6 = (b % q for b in curves.bc_invariants(a)[:3])
     qr = bytearray(q)
@@ -159,8 +164,9 @@ class ModCurve:
         while k and base is not None:
             if k & 1:
                 acc = self.add(acc, base)
-            base = self.add(base, base)
             k >>= 1
+            if k:
+                base = self.add(base, base)
         return acc
 
     def small_order(self, pt) -> bool:
@@ -173,28 +179,35 @@ class ModCurve:
         return False
 
     def small_order_set(self) -> set:
-        """All points of E(F_q) of order <= TORSION_MAX_ORDER (incl. identity)."""
+        """All points of E(F_q) of order <= TORSION_MAX_ORDER (incl. identity).
+
+        The order of a point divides N = #E(F_q), so only the n <= 12 that
+        divide N can occur; a point is kept when [n]P = O for one of the
+        maximal such n (maximal under divisibility). Needs good reduction.
+        """
         if self._small_set is not None:
             return self._small_set
-        a1, _, a3, _, _ = self.a
-        b2, b4, b6 = curves.bc_invariants(self.a)[:3]
-        q = self.q
-        sqrt_table = {}
-        for z in range((q + 1) // 2):
-            sqrt_table.setdefault(z * z % q, z)
-        inv2 = pow(2, -1, q)
+        order = _count_residues(self.a, self.q)
+        divisors = [n for n in range(2, TORSION_MAX_ORDER + 1) if order % n == 0]
+        maximal = [n for n in divisors if not any(m != n and m % n == 0 for m in divisors)]
         small = {None}
-        for x in range(q):
-            rhs = (4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % q
-            s = sqrt_table.get(rhs)
-            if s is None:
-                continue
-            for sign in (s, (-s) % q):
-                pt = (x, (sign - a1 * x - a3) * inv2 % q)
-                if self.small_order(pt):
+        if maximal:
+            a1, _, a3, _, _ = self.a
+            b2, b4, b6 = curves.bc_invariants(self.a)[:3]
+            q = self.q
+            sqrt_table = {}
+            for z in range((q + 1) // 2):
+                sqrt_table.setdefault(z * z % q, z)
+            inv2 = pow(2, -1, q)
+            for x in range(q):
+                rhs = (4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % q
+                s = sqrt_table.get(rhs)
+                if s is None:
+                    continue
+                pt = (x, (s - a1 * x - a3) * inv2 % q)
+                if any(self.mul(n, pt) is None for n in maximal):
                     small.add(pt)
-                if s == 0:
-                    break
+                    small.add(self.neg(pt))  # -P has the order of P
         self._small_set = small
         return small
 

@@ -33,7 +33,10 @@ BUNDLED_SCENARIOS = (
 
 def parse_curve(value) -> WeierstrassModel:
     if isinstance(value, str):
-        value = json.loads(value)
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"curve {value!r} is not valid JSON: {exc}") from exc
     if not isinstance(value, list) or len(value) != 5:
         raise ScenarioError(f"curve must be a 5-element list, got {value!r}")
     try:
@@ -87,6 +90,9 @@ def scenario_from_dict(blob: dict) -> VisibilityScenario:
     for r in rank_records:
         if not isinstance(r, dict) or not {"curve", "field", "rank"} <= set(r):
             raise ScenarioError(f"bad rank record {r!r}")
+        rank = r["rank"]
+        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
+            raise ScenarioError(f"rank must be a non-negative integer, got {rank!r} in {r!r}")
         parse_curve(r["curve"])
         _field_from_json(r["field"])
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from shavis import localdata
 from shavis.cli import main
 from shavis.scenario import bundled_scenario_path
@@ -38,6 +40,13 @@ def test_inspect_singular_exits_2(capsys):
 def test_inspect_malformed_exits_2(capsys):
     code, _, _ = run(capsys, "inspect", "[1,2,3]")
     assert code == 2
+
+
+@pytest.mark.parametrize("curve", ["xyz", "[0,0,0,1/2,3]"])
+def test_inspect_invalid_json_exits_2(capsys, curve):
+    code, _, err = run(capsys, "inspect", curve)
+    assert code == 2
+    assert err.startswith("error: curve") and "not valid JSON" in err
 
 
 def test_inspect_soundness_guard_exits_5(capsys, monkeypatch):
@@ -103,6 +112,25 @@ def _write(tmp_path, blob):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(blob))
     return str(path)
+
+
+@pytest.mark.parametrize("rank", ["x", 1.5, -1, True])
+def test_verify_bad_rank_record_exits_2(capsys, tmp_path, rank):
+    blob = json.loads(bundled_scenario_path("ex_176_kummer7").read_text())
+    blob["rank_records"][2]["rank"] = rank
+    code, _, err = run(capsys, "verify", _write(tmp_path, blob))
+    assert code == 2
+    assert err.startswith("error: rank must be a non-negative integer")
+
+
+def test_verify_directory_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "verify", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:") and "Is a directory" in err
+    missing = tmp_path / "missing.json"
+    code, _, err = run(capsys, "verify", str(missing))
+    assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_verify_quadratic_target_d4_exits_2(capsys, tmp_path):

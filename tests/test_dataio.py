@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,9 @@ from shavis.dataio import (
     rank_over,
     is_torsion_exact,
 )
-from shavis.curves import SingularCurveError, invariants
-from shavis.hecke import TORSION_MAX_ORDER
+from shavis.arith import primes
+from shavis.curves import SingularCurveError, bc_invariants, invariants
+from shavis.hecke import TORSION_MAX_ORDER, ModCurve
 
 
 def test_bundled_dataset_loads(dataset):
@@ -140,6 +142,111 @@ def test_excluded_twists_finish(run_python):
         "    print(d, cert.overall, cert.conclusion['min_visible_order'])\n"
     )
     assert out.splitlines() == ["-39 partial 9", "335 partial 9", "-71 partial 9"]
+
+
+def _nontorsion_points_reference(minimal, height_bound, filters):
+    """The (a, b) loop from before the residue sieve, kept here only."""
+    ainvs = minimal.int_ainvs()
+    a1, a3 = ainvs[0], ainvs[2]
+    b2, b4, b6 = bc_invariants(ainvs)[:3]
+    found = []
+    seen_x = set()
+    for b in range(1, math.isqrt(height_bound) + 1):
+        bb, b4_, b6_ = b * b, b**4, b**6
+        c3, c2, c1, c0 = 4, b2 * bb, 2 * b4 * b4_, b6 * b6_
+        for a in range(-height_bound, height_bound + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            t = ((c3 * a + c2) * a + c1) * a + c0
+            if t < 0:
+                continue
+            r = math.isqrt(t)
+            if r * r != t:
+                continue
+            x = Fraction(a, bb)
+            if x in seen_x:
+                continue
+            seen_x.add(x)
+            y = (Fraction(r, b**3) - a1 * x - a3) / 2
+            pt = (x, y)
+            assert point_on_curve(minimal, pt)
+            if not dataio.is_torsion(minimal, pt, filters):
+                found.append(pt)
+    return found
+
+
+def _small_integral_model(a1, a2, a3, a4, a6):
+    m = WeierstrassModel.from_list([a1, a2, a3, a4, a6])
+    try:
+        invariants(m)
+    except SingularCurveError:
+        assume(False)
+    return minimal_model(m)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
+    st.integers(-60, 60), st.integers(-200, 200),
+    st.integers(1, 2000),
+)
+@example(0, 0, 0, -584 * 59**2, 5444 * 59**3, 2000)  # rank-2 twist of 364a
+@example(0, 1, 1, -2, 0, 2000)  # 389a1, rank 2
+@example(0, -1, 1, 0, 0, 300)  # 11a3: its small points are 5-torsion
+@example(0, 0, 0, 0, 433, 50)  # (2, 21) and (11, 42): t = (2y)^2 = 0 mod 63
+@example(0, 0, 0, -1, 0, 1)
+def test_point_search_sieve_matches_the_loop(a1, a2, a3, a4, a6, height):
+    minimal = _small_integral_model(a1, a2, a3, a4, a6)
+    filters = dataio._filter_curves(minimal)
+    found = _nontorsion_points_reference(minimal, height, filters)
+    assert dataio._nontorsion_points(minimal, height, filters) == found
+    found.sort(key=dataio.naive_height)
+    expected = dataio._select_independent(minimal, found, dataio.DEPENDENCE_WINDOW, filters)
+    assert point_search(minimal, height) == (expected, len(expected))
+
+
+def _small_order_set_reference(mc):
+    """The enumeration of E(F_q) from before the order count, kept here only."""
+    a1, _, a3, _, _ = mc.a
+    b2, b4, b6 = bc_invariants(mc.a)[:3]
+    q = mc.q
+    sqrt_table = {}
+    for z in range((q + 1) // 2):
+        sqrt_table.setdefault(z * z % q, z)
+    inv2 = pow(2, -1, q)
+    small = {None}
+    for x in range(q):
+        rhs = (4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % q
+        s = sqrt_table.get(rhs)
+        if s is None:
+            continue
+        for sign in (s, (-s) % q):
+            pt = (x, (sign - a1 * x - a3) * inv2 % q)
+            if mc.small_order(pt):
+                small.add(pt)
+            if s == 0:
+                break
+    return small
+
+
+FILTER_PRIMES = [q for q in primes(2000) if q > 1000]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
+    st.integers(-60, 60), st.integers(-200, 200),
+    st.sampled_from(FILTER_PRIMES),
+)
+@example(0, -1, 1, 0, 0, 1009)  # 11a3: rational 5-torsion
+@example(0, 0, 0, 0, 1, 1013)  # rational 6-torsion
+@example(0, 0, 0, -1, 0, 1993)  # full rational 2-torsion
+@example(1, 0, 0, -45, 81, 1009)
+def test_small_order_set_matches_the_enumeration(a1, a2, a3, a4, a6, q):
+    minimal = _small_integral_model(a1, a2, a3, a4, a6)
+    assume(int(invariants(minimal).disc) % q != 0)
+    mc = ModCurve(minimal.int_ainvs(), q)
+    assert mc.small_order_set() == _small_order_set_reference(mc)
 
 
 def test_point_search_rank_zero_curve(e1_52):
