@@ -50,17 +50,19 @@ class CongruenceCertificate:
         return self.verdict in ("verified", "verified-to-bound")
 
     def to_json(self, evidence: str = "summary") -> dict:
+        """Fresh lists of fresh dicts: editing the output leaves the
+        certificate, which may be shared across scenarios, as it was."""
         out = {
             "p": self.p,
             "mode": self.mode,
             "bound": self.bound,
             "verdict": self.verdict,
             "primes_checked": len(self.primes_checked),
-            "mismatches": list(self.mismatches),
+            "mismatches": [dict(m) for m in self.mismatches],
         }
         if evidence == "full":
-            out["comparisons"] = list(self.comparisons)
-            out["skipped"] = list(self.skipped)
+            out["comparisons"] = [dict(c) for c in self.comparisons]
+            out["skipped"] = [dict(s) for s in self.skipped]
         return out
 
 

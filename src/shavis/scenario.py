@@ -45,6 +45,13 @@ def parse_curve(value) -> WeierstrassModel:
         raise ScenarioError(f"bad curve coefficients {value!r}: {exc}") from exc
 
 
+def _list_of_objects(blob: dict, key: str) -> list:
+    value = blob.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise ScenarioError(f"{key!r} must be a list of objects, got {value!r}")
+    return value
+
+
 def scenario_from_dict(blob: dict) -> VisibilityScenario:
     if not isinstance(blob, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -76,6 +83,8 @@ def scenario_from_dict(blob: dict) -> VisibilityScenario:
         raise ScenarioError(f"unknown target kind {kind!r}")
 
     options = blob.get("options", {})
+    if not isinstance(options, dict):
+        raise ScenarioError(f"'options' must be an object, got {options!r}")
     mode = options.get("mode", "heuristic")
     if mode not in ("heuristic", "bounded-proof"):
         raise ScenarioError(f"unknown mode {mode!r}")
@@ -83,12 +92,13 @@ def scenario_from_dict(blob: dict) -> VisibilityScenario:
     if evidence not in ("summary", "full"):
         raise ScenarioError(f"unknown evidence level {evidence!r}")
     limit = options.get("congruence_bound")
-    if limit is not None and (not isinstance(limit, int) or limit < 1):
+    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 1):
         raise ScenarioError(f"bad congruence_bound {limit!r}")
 
-    rank_records = blob.get("rank_records", [])
+    rank_records = _list_of_objects(blob, "rank_records")
+    user_assertions = _list_of_objects(blob, "user_assertions")
     for r in rank_records:
-        if not isinstance(r, dict) or not {"curve", "field", "rank"} <= set(r):
+        if not {"curve", "field", "rank"} <= set(r):
             raise ScenarioError(f"bad rank record {r!r}")
         rank = r["rank"]
         if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
@@ -109,7 +119,7 @@ def scenario_from_dict(blob: dict) -> VisibilityScenario:
             target_kummer=tk,
             target_tower=tt,
             rank_records=tuple(dict(r) for r in rank_records),
-            user_assertions=tuple(dict(u) for u in blob.get("user_assertions", [])),
+            user_assertions=tuple(dict(u) for u in user_assertions),
             mode=mode,
             congruence_limit=limit,
             evidence_level=evidence,

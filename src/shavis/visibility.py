@@ -163,21 +163,60 @@ def _record_user_assertions(scenario) -> list[HypothesisVerdict]:
     ]
 
 
+#: Entries kept by each of the two cross-scenario memos below.
+MEMO_SIZE = 32
+
+
+@dataclass(frozen=True)
+class CurveFacts:
+    """The facts the engine reads of one input curve: its minimal model, its
+    conductor and the local data at each bad prime."""
+
+    minimal: WeierstrassModel
+    conductor: int
+    local_data: tuple[localdata.LocalReductionData, ...]
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def curve_facts(model: WeierstrassModel) -> CurveFacts:
+    """Minimal model and conductor of an input curve, derived once per process."""
+    minimal = curves.minimal_model(model)[0]
+    n, locs = localdata.conductor(minimal)
+    return CurveFacts(minimal, n, tuple(locs))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _congruence_certificate(a_min: WeierstrassModel, b_min: WeierstrassModel, p: int,
+                            mode: str, bound: int | None) -> congruence.CongruenceCertificate:
+    """One congruence sweep per minimal pair, prime, mode and bound, shared by
+    every scenario with those four, whatever its theorem and target field."""
+    return congruence.verify_congruence(a_min, b_min, p, mode=mode, bound=bound)
+
+
+def clear_memos() -> None:
+    """Forget every curve fact and congruence certificate kept across scenarios."""
+    curve_facts.cache_clear()
+    _congruence_certificate.cache_clear()
+
+
 class _Engine:
     """Shared hypothesis evaluation for one scenario.
 
     Every check returns (status, evidence); the theorem table supplies the
     ids. Twisted models, torsion verdicts and ranks are computed once, so a
     hypothesis and the conclusion that both consume one share a resolution.
+    The curve facts and congruence certificates, which do not depend on the
+    target field, come from the process-wide memos above.
     """
 
     def __init__(self, scenario: VisibilityScenario, dataset: dataio.Dataset | None = None,
                  remote: "dataio.RemoteClient | None" = None):
         self.s = scenario
-        self.a_min = curves.minimal_model(scenario.curve_a)[0]
-        self.b_min = curves.minimal_model(scenario.curve_b)[0]
-        self.n_a, self.locs_a = localdata.conductor(self.a_min)
-        self.n_b, self.locs_b = localdata.conductor(self.b_min)
+        fa, fb = curve_facts(scenario.curve_a), curve_facts(scenario.curve_b)
+        self.a_min, self.b_min = fa.minimal, fb.minimal
+        self.n_a, self.n_b = fa.conductor, fb.conductor
+        # lists of the engine's own: editing one cannot reach the memo
+        self.locs_a, self.locs_b = list(fa.local_data), list(fb.local_data)
         self.rank_uses: list[dict] = []
         self._ranks: dict = {}
         self._torsion: dict = {}
@@ -232,9 +271,8 @@ class _Engine:
     def congruent(self) -> tuple[str, dict]:
         """B[n] contained in A and congruent: one congruence proof per p | n."""
         certs = {
-            p: congruence.verify_congruence(
-                self.a_min, self.b_min, p, mode=self.s.mode, bound=self.s.congruence_limit
-            )
+            p: _congruence_certificate(self.a_min, self.b_min, p, self.s.mode,
+                                       self.s.congruence_limit)
             for p in self.s.n_primes
         }
         evidence = {

@@ -18,7 +18,7 @@ from shavis.congruence import irreducible_mod_p, recheck_witness, verify_congrue
 from shavis.curves import WeierstrassModel, minimal_model, quadratic_twist
 from shavis.localdata import conductor
 from shavis.scenario import load_bundled_scenario, scenario_from_dict
-from shavis.visibility import verify_scenario
+from shavis.visibility import clear_memos, verify_scenario
 
 E1 = [0, 0, 0, 1, -10]
 E2 = [0, 0, 0, -584, 5444]
@@ -183,6 +183,7 @@ def test_criterion_6_certificate_determinism(rank_a, rank_b, assertion, evidence
     }
     runs = []
     for _ in range(2):
+        clear_memos()  # recompute every run, not only the first
         cert = verify_scenario(scenario_from_dict(blob), None)
         runs.append(json.dumps(cert.to_json(), sort_keys=True))
     assert runs[0] == runs[1]
@@ -191,6 +192,7 @@ def test_criterion_6_certificate_determinism(rank_a, rank_b, assertion, evidence
 def test_criterion_6_end_to_end_determinism(dataset):
     texts = set()
     for _ in range(3):
+        clear_memos()
         cert = verify_scenario(load_bundled_scenario("ex1_quadratic_59"), dataset)
         texts.add(json.dumps(cert.to_json(), sort_keys=True))
     report("6 (byte-identical certificates)", len(texts) == 1, "3 runs of ex1 identical")

@@ -123,6 +123,32 @@ def test_verify_bad_rank_record_exits_2(capsys, tmp_path, rank):
     assert err.startswith("error: rank must be a non-negative integer")
 
 
+@pytest.mark.parametrize("key, value, shape", [
+    pytest.param("options", [], "an object", id="options-list"),
+    pytest.param("options", "bounded-proof", "an object", id="options-string"),
+    pytest.param("rank_records", 5, "a list of objects", id="rank_records-int"),
+    pytest.param("rank_records", {"curve": [0, 0, 0, 1, -10]}, "a list of objects",
+                 id="rank_records-object"),
+    pytest.param("user_assertions", 5, "a list of objects", id="user_assertions-int"),
+    pytest.param("user_assertions", [[["id", "ua"]]], "a list of objects",
+                 id="user_assertions-pairs"),
+])
+def test_verify_bad_scenario_shape_exits_2(capsys, tmp_path, key, value, shape):
+    blob = json.loads(bundled_scenario_path("ex1_quadratic_59").read_text())
+    blob[key] = value
+    code, _, err = run(capsys, "verify", _write(tmp_path, blob))
+    assert code == 2
+    assert err.startswith(f"error: '{key}' must be {shape}")
+
+
+def test_verify_bool_congruence_bound_exits_2(capsys, tmp_path):
+    blob = json.loads(bundled_scenario_path("ex1_quadratic_59").read_text())
+    blob["options"]["congruence_bound"] = True
+    code, _, err = run(capsys, "verify", _write(tmp_path, blob))
+    assert code == 2
+    assert err.startswith("error: bad congruence_bound True")
+
+
 def test_verify_directory_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path))
     assert code == 2

@@ -10,7 +10,10 @@ from shavis.scenario import bundled_scenario_path, load_bundled_scenario, scenar
 from shavis.visibility import (
     THEOREM_HYPOTHESES,
     ScenarioError,
+    _Engine,
     check_analytic_divisibility,
+    clear_memos,
+    curve_facts,
     verify_lemma_twist,
     verify_scenario,
 )
@@ -332,3 +335,72 @@ def test_certificate_json_roundtrip(dataset):
     assert json.loads(text) == blob
     assert blob["schema_version"] == 1
     assert blob["theorem"] == "quadratic"
+
+
+# ---- the cross-scenario memos: warm certificates equal recomputed ones
+
+PAIRS = (  # the five bundled congruent pairs: curve A, curve B, p
+    ([0, 0, 0, 1, -10], [0, 0, 0, -584, 5444], 5),
+    ([1, -1, 1, -57, 222], [1, -1, 1, -91, -310], 3),
+    (E203_1, E203_2, 3),
+    ([0, 1, 0, -5, -13], [0, 1, 0, 56, -588], 3),
+    ([0, 1, 0, -30008176, -63229110828], [0, 1, 0, -144, 532], 3),
+)
+
+
+def twist_blob(pair, d, mode="bounded-proof", evidence="summary"):
+    a, b, p = pair
+    return {
+        "schema_version": 1, "name": f"twist_d{d}", "theorem": "quadratic", "p": p,
+        "curve_a": a, "curve_b": b, "target": {"kind": "quadratic", "d": d},
+        "options": {"mode": mode, "evidence": evidence},
+    }
+
+
+def certificate_bytes(blob, dataset) -> str:
+    cert = verify_scenario(scenario_from_dict(blob), dataset)
+    return json.dumps(cert.to_json(), indent=2, sort_keys=True)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.lists(
+    st.builds(twist_blob, st.sampled_from(PAIRS), st.sampled_from([-7, -3, 13, 17, 59]),
+              st.sampled_from(["bounded-proof", "heuristic"]),
+              st.sampled_from(["summary", "full"])),
+    min_size=1, max_size=3,
+))
+def test_memoized_certificates_match_recomputed(dataset, blobs):
+    # the memos stay warm from earlier examples and tests; the second pass
+    # over the sequence finds every pair's facts and certificate memoized
+    sequence = blobs + blobs
+    warm = [certificate_bytes(blob, dataset) for blob in sequence]
+    cold = {}
+    for blob, text in zip(sequence, warm):
+        key = json.dumps(blob, sort_keys=True)
+        if key not in cold:
+            clear_memos()
+            cold[key] = certificate_bytes(blob, dataset)
+        assert text == cold[key]
+
+
+def test_editing_certificate_json_leaves_the_memo(dataset):
+    # ex1's A against a curve it is not congruent to: mismatches, comparisons
+    # and skipped primes are all non-empty under full evidence
+    pair = ([0, 0, 0, 1, -10], [0, -1, 1, 0, 0], 5)
+    clear_memos()
+    first = verify_scenario(scenario_from_dict(twist_blob(pair, 59, "heuristic", "full")), dataset)
+    congruence_json = first.to_json()["verdicts"][0]["evidence"]["congruence"]["5"]
+    before = json.dumps(congruence_json, sort_keys=True)
+    assert congruence_json["mismatches"] and congruence_json["skipped"]
+    congruence_json["mismatches"][0]["ok"] = True
+    congruence_json["comparisons"][0]["q"] = -1
+    congruence_json["comparisons"].clear()
+    congruence_json["skipped"][0]["reason"] = "edited"
+    congruence_json["mismatches"].append({"q": 0})
+    second = verify_scenario(scenario_from_dict(twist_blob(pair, 13, "heuristic", "full")), dataset)
+    after = second.to_json()["verdicts"][0]["evidence"]["congruence"]["5"]
+    assert json.dumps(after, sort_keys=True) == before
+    # the engine's local-data lists are its own copies of the memoized tuple
+    scn = scenario_from_dict(twist_blob(pair, 13))
+    _Engine(scn, dataset).locs_a.clear()
+    assert _Engine(scn, dataset).locs_a == list(curve_facts(scn.curve_a).local_data) != []
