@@ -275,17 +275,33 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+#: Odd numbers per segment of the `primes` sieve (one byte each).
+_SIEVE_SEGMENT = 1 << 20
+
+
 def primes(bound: int):
-    """Iterate primes <= bound (sieve of Eratosthenes over the odd numbers)."""
+    """Iterate primes <= bound: a sieve of Eratosthenes over the odd numbers,
+    one segment at a time, so that a caller that stops early (a congruence
+    sweep at its first mismatch) holds and pays for one segment at most,
+    however large the bound."""
     if bound < 2:
         return
     yield 2
-    odd = bytearray([1]) * ((bound + 1) // 2)  # odd[i] stands for 2i + 1
-    odd[0] = 0
-    for p in range(3, math.isqrt(bound) + 1, 2):
-        if odd[p // 2]:
-            odd[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(odd), p)))
-    yield from itertools.compress(range(1, bound + 1, 2), odd)
+    sieving = primes(math.isqrt(bound))
+    next(sieving, None)  # 2: the segments hold odd numbers only
+    base = [next(sieving, bound + 1)]  # bound + 1 when they run out: past every segment
+    for lo in range(1, bound + 1, 2 * _SIEVE_SEGMENT):
+        hi = min(lo + 2 * _SIEVE_SEGMENT, bound + 1)
+        while base[-1] ** 2 < hi:  # the odd primes up to sqrt(hi), and one more
+            base.append(next(sieving, bound + 1))
+        odd = bytearray([1]) * ((hi - lo + 1) // 2)  # odd[i] stands for lo + 2i
+        if lo == 1:
+            odd[0] = 0
+        for p in base:
+            first = max(p * p, -(-lo // p) * p)
+            i = (first + p * (first % 2 == 0) - lo) // 2  # the first odd multiple
+            odd[i::p] = bytes(len(range(i, len(odd), p)))
+        yield from itertools.compress(range(lo, hi, 2), odd)
 
 
 def prime_divisors(n: int) -> list[int]:

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import arith, curves, dataio, localdata, scenario as scenario_mod, visibility
@@ -52,17 +53,13 @@ def _dump_json(blob) -> str:
     return json.dumps(blob, indent=2, sort_keys=True)
 
 
-def _load_dataset(args) -> dataio.Dataset:
-    return dataio.load_dataset(getattr(args, "dataset", None))
-
-
 def cmd_inspect(args) -> int:
     try:
-        model = scenario_mod.parse_curve(args.curve)
+        model = curves.parse_curve(args.curve)
         minimal, _ = curves.minimal_model(model)
         inv = curves.invariants(minimal)
         n, locs = localdata.conductor(minimal)
-    except (visibility.ScenarioError, curves.SingularCurveError, ArithmeticError_) as exc:
+    except (curves.SingularCurveError, ArithmeticError_) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     blob = {
@@ -109,11 +106,9 @@ def _network_enabled() -> bool:
 def cmd_verify(args) -> int:
     try:
         scn = scenario_mod.load_scenario(args.scenario)
-        if args.mode:
-            scn = _with_options(scn, mode=args.mode)
-        if args.evidence:
-            scn = _with_options(scn, evidence_level=args.evidence)
-        dataset = _load_dataset(args)
+        scn = replace(scn, mode=args.mode or scn.mode,
+                      evidence_level=args.evidence or scn.evidence_level)
+        dataset = dataio.load_dataset(args.dataset)
     except (visibility.ScenarioError, dataio.DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -122,7 +117,7 @@ def cmd_verify(args) -> int:
         remote = dataio.RemoteClient(cache_dir=args.cache)
     try:
         cert = visibility.verify_scenario(scn, dataset, remote)
-    except (visibility.ScenarioError, ArithmeticError_) as exc:
+    except ArithmeticError_ as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     payload = _dump_json(cert.to_json())
@@ -133,12 +128,6 @@ def cmd_verify(args) -> int:
         print(payload)
     _print_summary(cert)
     return {"certified": EXIT_OK, "failed": EXIT_FAILED, "partial": EXIT_PARTIAL}[cert.overall]
-
-
-def _with_options(scn, **kw):
-    from dataclasses import replace
-
-    return replace(scn, **kw)
 
 
 def _print_summary(cert):
@@ -161,7 +150,11 @@ def cmd_examples(args) -> int:
         print(f"error: unknown example {args.name!r}; known: {', '.join(known)}",
               file=sys.stderr)
         return EXIT_INPUT
-    dataset = _load_dataset(args)
+    try:
+        dataset = dataio.load_dataset(args.dataset)
+    except (dataio.DatasetError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     certs = [visibility.verify_scenario(scenario_mod.load_bundled_scenario(n), dataset)
              for n in names]
     ok = True

@@ -8,6 +8,7 @@ a global minimal model always has integer entries. All arithmetic is exact.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,6 +98,23 @@ class WeierstrassModel:
 
     def __str__(self):
         return "[" + ",".join(str(a) for a in self.ainvs()) + "]"
+
+
+def parse_curve(value) -> WeierstrassModel:
+    """A model as JSON gives it: a list [a1, a2, a3, a4, a6] of integers,
+    decimals or fraction strings, or that list as JSON text. Each entry is
+    read from its decimal text, so 0.01 is 1/100, not the nearest float."""
+    if isinstance(value, str):
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise ArithmeticError_(f"curve {value!r} is not valid JSON: {exc}") from exc
+    if not isinstance(value, list) or len(value) != 5:
+        raise ArithmeticError_(f"curve must be a 5-element list, got {value!r}")
+    try:
+        return WeierstrassModel.from_list([Fraction(str(v)) for v in value])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ArithmeticError_(f"bad curve coefficients {value!r}: {exc}") from exc
 
 
 def bc_invariants(a):

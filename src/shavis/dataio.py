@@ -89,6 +89,21 @@ class RankRecord:
         return out
 
 
+def rank_record_from_json(blob) -> RankRecord:
+    """A user rank record as a scenario gives it: {"curve", "field", "rank"}
+    and an optional "provenance" (default "user"). Rejects a malformed
+    record, a rank that is not an integer >= 0 and a singular curve."""
+    if not isinstance(blob, dict) or not {"curve", "field", "rank"} <= set(blob):
+        raise DatasetError(f"bad rank record {blob!r}")
+    rank = blob["rank"]
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
+        raise DatasetError(f"rank must be a non-negative integer, got {rank!r} in {blob!r}")
+    model = curves.parse_curve(blob["curve"])
+    curves.invariants(model)  # raises SingularCurveError
+    return RankRecord(model, fields.field_from_json(blob["field"]), rank,
+                      blob.get("provenance", "user"))
+
+
 def model_key(model: WeierstrassModel) -> str:
     minimal, _ = curves.minimal_model(model)
     return str(minimal)

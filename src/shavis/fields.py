@@ -74,6 +74,11 @@ class NumberFieldDescriptor:
             return f"Q(mu_{self.p})"
         return f"Q(mu_{self.p})({self.m}^(1/{self.p}))"
 
+    @property
+    def base(self) -> "NumberFieldDescriptor":
+        """The field this one is taken over: Q(mu_p) for a Kummer layer, else Q."""
+        return cyclotomic_field(self.p) if self.kind == "kummer" else RATIONALS
+
     def to_json(self) -> dict:
         out = {"kind": self.kind}
         if self.kind == "quadratic":
@@ -84,6 +89,24 @@ class NumberFieldDescriptor:
             out["p"] = self.p
             out["m"] = self.m
         return out
+
+
+def field_from_json(blob) -> NumberFieldDescriptor:
+    """The field a `NumberFieldDescriptor.to_json` blob names (a quadratic
+    field may be given by any d); ArithmeticError_ on anything else."""
+    kind = blob.get("kind") if isinstance(blob, dict) else None
+    try:
+        if kind == "rationals":
+            return RATIONALS
+        if kind == "quadratic":
+            return quadratic_field(int(blob["d"]))
+        if kind == "cyclotomic":
+            return cyclotomic_field(int(blob["p"]))
+        if kind == "kummer":
+            return kummer_layer(int(blob["p"]), int(blob["m"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ArithmeticError_(f"bad {kind} field {blob!r}: {exc}") from exc
+    raise ArithmeticError_(f"unknown field kind {kind!r}")
 
 
 RATIONALS = NumberFieldDescriptor("rationals")
@@ -133,6 +156,20 @@ class TowerDescriptor:
         if self.kind == "false_tate":
             out["m"] = self.m
         return out
+
+
+def tower_from_json(blob) -> TowerDescriptor:
+    """The tower a `TowerDescriptor.to_json` blob names; ArithmeticError_ on
+    anything else."""
+    kind = blob.get("kind") if isinstance(blob, dict) else None
+    try:
+        if kind == "cyclotomic_zp":
+            return TowerDescriptor(kind, p=int(blob["p"]))
+        if kind == "false_tate":
+            return TowerDescriptor(kind, p=int(blob["p"]), m=int(blob["m"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ArithmeticError_(f"bad {kind} tower {blob!r}: {exc}") from exc
+    raise ArithmeticError_(f"unknown tower kind {kind!r}")
 
 
 def _mult_order(q: int, p: int) -> int:

@@ -1,25 +1,22 @@
 """Scenario file parsing and validation.
 
 A scenario JSON names the theorem, the curve pair, the odd n (or p), the
-fields involved, rank records and user assertions. Validation happens before
-any computation; errors carry the offending key.
+fields involved, rank records and user assertions. This module is its one
+reader, with one parser per shape (curve, field, tower, rank record) from
+the module that owns it; building the `VisibilityScenario` applies the
+theorem's input rules. Every input error is a ScenarioError raised before
+any computation, and names the offending key or value.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from . import fields
-from .curves import WeierstrassModel
-from .visibility import (
-    ScenarioError,
-    VisibilityScenario,
-    _field_from_json,
-    _tower_from_json,
-)
+from . import dataio, fields
+from .curves import parse_curve
+from .visibility import ScenarioError, VisibilityScenario
 
 BUNDLED_SCENARIOS = (
     "ex1_quadratic_59",
@@ -31,20 +28,6 @@ BUNDLED_SCENARIOS = (
 )
 
 
-def parse_curve(value) -> WeierstrassModel:
-    if isinstance(value, str):
-        try:
-            value = json.loads(value)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"curve {value!r} is not valid JSON: {exc}") from exc
-    if not isinstance(value, list) or len(value) != 5:
-        raise ScenarioError(f"curve must be a 5-element list, got {value!r}")
-    try:
-        return WeierstrassModel.from_list([Fraction(str(v)) for v in value])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScenarioError(f"bad curve coefficients {value!r}: {exc}") from exc
-
-
 def _list_of_objects(blob: dict, key: str) -> list:
     value = blob.get(key, [])
     if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
@@ -52,35 +35,31 @@ def _list_of_objects(blob: dict, key: str) -> list:
     return value
 
 
+def _target(blob):
+    """The target field M or tower; None when the scenario names none."""
+    if blob is None:
+        return None
+    kind = blob.get("kind") if isinstance(blob, dict) else None
+    if kind in ("quadratic", "kummer"):
+        return fields.field_from_json(blob)
+    if kind in ("cyclotomic_zp", "false_tate"):
+        return fields.tower_from_json(blob)
+    raise ScenarioError(f"unknown target kind {kind!r}")
+
+
 def scenario_from_dict(blob: dict) -> VisibilityScenario:
     if not isinstance(blob, dict):
         raise ScenarioError("scenario must be a JSON object")
     if blob.get("schema_version") != 1:
         raise ScenarioError(f"unsupported schema_version {blob.get('schema_version')!r}")
-    theorem = blob.get("theorem")
-    if "p" in blob:
-        n = blob["p"]
-    elif "n" in blob:
-        n = blob["n"]
-    else:
+    n = blob.get("p", blob.get("n"))
+    if n is None:
         raise ScenarioError("scenario needs 'p' (or 'n')")
     if not isinstance(n, int):
         raise ScenarioError(f"'p' must be an integer, got {n!r}")
     for key in ("curve_a", "curve_b"):
         if key not in blob:
             raise ScenarioError(f"scenario needs {key!r}")
-
-    target = blob.get("target", {})
-    tq = tk = tt = None
-    kind = target.get("kind") if isinstance(target, dict) else None
-    if kind == "quadratic":
-        tq = _field_from_json(target)
-    elif kind == "kummer":
-        tk = _field_from_json(target)
-    elif kind in ("cyclotomic_zp", "false_tate"):
-        tt = _tower_from_json(target)
-    elif kind is not None:
-        raise ScenarioError(f"unknown target kind {kind!r}")
 
     options = blob.get("options", {})
     if not isinstance(options, dict):
@@ -97,27 +76,23 @@ def scenario_from_dict(blob: dict) -> VisibilityScenario:
 
     rank_records = _list_of_objects(blob, "rank_records")
     user_assertions = _list_of_objects(blob, "user_assertions")
-    for r in rank_records:
-        if not {"curve", "field", "rank"} <= set(r):
-            raise ScenarioError(f"bad rank record {r!r}")
-        rank = r["rank"]
-        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
-            raise ScenarioError(f"rank must be a non-negative integer, got {rank!r} in {r!r}")
-        parse_curve(r["curve"])
-        _field_from_json(r["field"])
+    for ua in user_assertions:
+        for key in ("id", "statement"):
+            if not isinstance(ua.get(key, ""), str):
+                raise ScenarioError(f"user assertion {key!r} must be a string, got {ua[key]!r}")
 
     try:
+        for r in rank_records:
+            dataio.rank_record_from_json(r)
         return VisibilityScenario(
             name=str(blob.get("name", "unnamed")),
-            theorem=theorem,
+            theorem=blob.get("theorem"),
             curve_a=parse_curve(blob["curve_a"]),
             curve_b=parse_curve(blob["curve_b"]),
             n=n,
-            base_field=_field_from_json(blob.get("base_field", {"kind": "rationals"})),
-            field_k=_field_from_json(blob.get("field_k", {"kind": "rationals"})),
-            target_quadratic=tq,
-            target_kummer=tk,
-            target_tower=tt,
+            base_field=fields.field_from_json(blob.get("base_field", {"kind": "rationals"})),
+            field_k=fields.field_from_json(blob.get("field_k", {"kind": "rationals"})),
+            target=_target(blob.get("target")),
             rank_records=tuple(dict(r) for r in rank_records),
             user_assertions=tuple(dict(u) for u in user_assertions),
             mode=mode,

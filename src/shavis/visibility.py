@@ -61,30 +61,40 @@ class VisibilityScenario:
     n: int
     base_field: fields.NumberFieldDescriptor  # L
     field_k: fields.NumberFieldDescriptor  # K
-    target_quadratic: fields.NumberFieldDescriptor | None = None
-    target_kummer: fields.NumberFieldDescriptor | None = None
-    target_tower: fields.TowerDescriptor | None = None
-    rank_records: tuple = ()
+    target: fields.NumberFieldDescriptor | fields.TowerDescriptor | None = None  # M
+    rank_records: tuple = ()  # as the scenario file gives them
     user_assertions: tuple = ()
     mode: str = congruence.HEURISTIC
     congruence_limit: int | None = None
     evidence_level: str = "summary"
 
     def __post_init__(self):
-        if self.theorem not in THEOREM_HYPOTHESES:
+        """Apply the input rules of the theorem's `THEOREMS` entry, so a
+        scenario that exists is one its theorem can run on."""
+        rule = THEOREMS.get(self.theorem)
+        if rule is None:
             raise ScenarioError(f"unknown theorem {self.theorem!r}")
-        if self.n % 2 == 0 or self.n < 3:
-            raise ScenarioError(f"n must be odd and > 1, got {self.n}")
-        if not arith.is_squarefree(self.n):
-            raise ScenarioError(f"composite n must be squarefree, got {self.n}")
-        if curves.minimal_model(self.curve_a)[0] == curves.minimal_model(self.curve_b)[0]:
+        n, k, target = self.n, self.field_k, self.target
+        if n % 2 == 0 or n < 3:
+            raise ScenarioError(f"n must be odd and > 1, got {n}")
+        if not arith.is_squarefree(n):
+            raise ScenarioError(f"composite n must be squarefree, got {n}")
+        if rule.prime_n and not arith.is_prime(n):
+            raise ScenarioError(f"{self.theorem} theorem needs prime n, got {n}")
+        if rule.targets:
+            if target is None or target.kind not in rule.targets:
+                raise ScenarioError(
+                    f"{self.theorem} theorem needs a {' or '.join(rule.targets)} target")
+            if target.p and target.p != n:
+                raise ScenarioError(f"target prime {target.p} != scenario p {n}")
+            if k != target.base:
+                raise ScenarioError(f"target {target.describe()} lies over "
+                                    f"K = {target.base.describe()}, not K = {k.describe()}")
+        elif k.kind not in rule.k_kinds:
+            raise ScenarioError(f"{self.theorem} theorem takes K of kind "
+                                f"{' or '.join(rule.k_kinds)}, not {k.kind} K = {k.describe()}")
+        if curve_facts(self.curve_a).minimal == curve_facts(self.curve_b).minimal:
             raise ScenarioError("curves A and B coincide as minimal models")
-        if self.theorem == "quadratic" and self.target_quadratic is None:
-            raise ScenarioError("quadratic theorem needs a quadratic target field")
-        if self.theorem == "exten" and self.target_kummer is None:
-            raise ScenarioError("exten theorem needs a kummer target field")
-        if self.theorem == "lie" and self.target_tower is None:
-            raise ScenarioError("lie theorem needs a tower target")
 
     @property
     def n_primes(self) -> list[int]:
@@ -107,12 +117,8 @@ class VisibilityScenario:
                 "evidence": self.evidence_level,
             },
         }
-        if self.target_quadratic:
-            out["target"] = self.target_quadratic.to_json()
-        elif self.target_kummer:
-            out["target"] = self.target_kummer.to_json()
-        elif self.target_tower:
-            out["target"] = self.target_tower.to_json()
+        if self.target is not None:
+            out["target"] = self.target.to_json()
         return out
 
 
@@ -220,21 +226,13 @@ class _Engine:
         self.rank_uses: list[dict] = []
         self._ranks: dict = {}
         self._torsion: dict = {}
-        user_recs = [
-            dataio.RankRecord(
-                WeierstrassModel.from_list([Fraction(x) for x in r["curve"]]),
-                _field_from_json(r["field"]),
-                int(r["rank"]),
-                r.get("provenance", "user"),
-            )
-            for r in scenario.rank_records
-        ]
+        user_recs = [dataio.rank_record_from_json(r) for r in scenario.rank_records]
         self.sources = dataio.RankSources(dataset=dataset, user_records=user_recs, remote=remote)
 
     @functools.cached_property
     def twisted(self) -> tuple[WeierstrassModel, WeierstrassModel]:
         """Minimal models of A and B twisted by the quadratic target field."""
-        d = arith.squarefree_part(self.s.target_quadratic.disc)
+        d = arith.squarefree_part(self.s.target.disc)
         return tuple(curves.minimal_model(curves.quadratic_twist(m, d))[0]
                      for m in (self.a_min, self.b_min))
 
@@ -414,34 +412,6 @@ class _Engine:
             yield name, n, locs, congruence.mod_p_conductor_semistable(model, p) if ok else None
 
 
-def _field_from_json(blob: dict) -> fields.NumberFieldDescriptor:
-    kind = blob.get("kind") if isinstance(blob, dict) else None
-    try:
-        if kind == "rationals":
-            return fields.RATIONALS
-        if kind == "quadratic":
-            return fields.quadratic_field(int(blob["d"]))
-        if kind == "cyclotomic":
-            return fields.cyclotomic_field(int(blob["p"]))
-        if kind == "kummer":
-            return fields.kummer_layer(int(blob["p"]), int(blob["m"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad {kind} field {blob!r}: {exc}") from exc
-    raise ScenarioError(f"unknown field kind {kind!r}")
-
-
-def _tower_from_json(blob: dict) -> fields.TowerDescriptor:
-    kind = blob.get("kind")
-    try:
-        if kind == "cyclotomic_zp":
-            return fields.TowerDescriptor("cyclotomic_zp", p=int(blob["p"]))
-        if kind == "false_tate":
-            return fields.TowerDescriptor("false_tate", p=int(blob["p"]), m=int(blob["m"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad {kind} tower {blob!r}: {exc}") from exc
-    raise ScenarioError(f"unknown tower kind {kind!r}")
-
-
 def _uses_search_bound(record) -> bool:
     if record.provenance == "point-search-lower-bound":
         return True
@@ -490,7 +460,7 @@ def _conclude_quadratic(eng: _Engine):
     a_tw, b_tw = eng.twisted
     conclusion, a_side = _gap_conclusion(
         eng, a_tw, b_tw, fields.RATIONALS,
-        f"Vis_J(Sha(A/{eng.s.target_quadratic.describe()})) contains a subgroup",
+        f"Vis_J(Sha(A/{eng.s.target.describe()})) contains a subgroup",
     )
     conclusion["twisted_models"] = [str(a_tw), str(b_tw)]
     return conclusion, a_side
@@ -577,7 +547,7 @@ def _conductor_equality(eng: _Engine) -> tuple[str, dict]:
 
 def _kummer_ramification(eng: _Engine) -> tuple[str, dict]:
     """exten (i): e_v(M) divisible by p at primes dividing N/N_A."""
-    p, kummer = eng.s.n, eng.s.target_kummer
+    p, kummer = eng.s.n, eng.s.target
     extra = sorted(set(l.q for l in eng.locs_b) - set(l.q for l in eng.locs_a))
     rami = {}
     ok = True
@@ -599,7 +569,7 @@ def _kummer_ramification(eng: _Engine) -> tuple[str, dict]:
 def _conclude_exten(eng: _Engine):
     """The kernel of the map is bounded through the Galois module structure
     of A(M); the image has rank >= rank B(K) - that kernel bound."""
-    s, p, kummer = eng.s, eng.s.n, eng.s.target_kummer
+    s, p, kummer = eng.s, eng.s.n, eng.s.target
     rank_a_k = eng.rank(eng.a_min, s.field_k).rank
     rank_a_m = eng.rank(eng.a_min, kummer).rank
     rank_b_k = eng.rank(eng.b_min, s.field_k).rank
@@ -630,7 +600,7 @@ def _lie_layers(eng: _Engine) -> list[HypothesisVerdict]:
     """One verdict L.v{q} per bad prime q: either the Tamagawa numbers stay
     p-units up the tower (unramified stability) or the decomposition group
     has Lie dimension >= 2."""
-    p, tower = eng.s.n, eng.s.target_tower
+    p, tower = eng.s.n, eng.s.target
     base = tower.base
     locs = {"A": {l.q: l for l in eng.locs_a}, "B": {l.q: l for l in eng.locs_b}}
     out = []
@@ -671,7 +641,7 @@ def _lie_layers(eng: _Engine) -> list[HypothesisVerdict]:
 
 def _conclude_lie(eng: _Engine):
     conclusion = {
-        "statement": f"the visibility map lands in Vis_J(Sha(A/{eng.s.target_tower.describe()}))",
+        "statement": f"the visibility map lands in Vis_J(Sha(A/{eng.s.target.describe()}))",
         "min_visible_order": 1,
         "kernel_bound": 1,
         "rank_gap": 0,
@@ -680,49 +650,6 @@ def _conclude_lie(eng: _Engine):
                        "(user-assertable, not computed)",
     }
     return conclusion, ()
-
-
-# ---- up-front validation, run before any computation
-
-def _validate_improv(s: VisibilityScenario) -> None:
-    if s.field_k.kind == "kummer":
-        raise ScenarioError("improv theorem supports K = Q, quadratic or cyclotomic; "
-                            "irreducibility witnesses over a kummer K are unsupported")
-
-
-def _validate_quadratic(s: VisibilityScenario) -> None:
-    if s.field_k.kind != "rationals":
-        raise ScenarioError("quadratic theorem path supports K = Q; twists of curves "
-                            "over bigger K are out of scope")
-
-
-def _validate_nontrivial(s: VisibilityScenario, refined: bool = False) -> None:
-    if s.field_k.kind not in ("rationals", "quadratic"):
-        raise ScenarioError("nontrivial theorems support K = Q or quadratic K")
-    if not refined and s.field_k.kind != "rationals":
-        raise ScenarioError("plain nontrivial conductor comparison is computed over Q only")
-    if not arith.is_prime(s.n):
-        raise ScenarioError("nontrivial theorems need prime n")
-
-
-def _validate_exten(s: VisibilityScenario) -> None:
-    p = s.n
-    if not arith.is_prime(p):
-        raise ScenarioError("exten theorem needs prime n = p")
-    if s.target_kummer.p != p:
-        raise ScenarioError(f"kummer layer prime {s.target_kummer.p} != scenario p {p}")
-    if s.field_k != fields.cyclotomic_field(p):
-        raise ScenarioError(
-            f"kummer layers live over Q(mu_{p}); set field_k to cyclotomic {p}"
-        )
-
-
-def _validate_lie(s: VisibilityScenario) -> None:
-    p = s.n
-    if not arith.is_prime(p):
-        raise ScenarioError("lie theorem needs prime n = p")
-    if s.target_tower.p != p:
-        raise ScenarioError(f"tower prime {s.target_tower.p} != scenario p {p}")
 
 
 def verify_lemma_twist(model: WeierstrassModel, d: int, p: int) -> list[HypothesisVerdict]:
@@ -840,11 +767,21 @@ Check = Callable[[_Engine], tuple[str, dict]]
 
 @dataclass(frozen=True)
 class _Theorem:
-    """One visibility theorem: its validation, its labeled hypotheses in
+    """One visibility theorem: its input rules, its labeled hypotheses in
     certificate order, verdicts beyond the schema, and its conclusion,
-    which returns the conclusion and the A-side rank records it consumed."""
+    which returns the conclusion and the A-side rank records it consumed.
 
-    validate: Callable[[VisibilityScenario], None]
+    The input rules, which `VisibilityScenario` applies as it is built:
+    `targets` are the kinds of target M the theorem reads (none: it reads
+    no M). A target must carry the scenario's p if it carries a prime, and
+    K is then the field M lies over; a theorem without a target takes a K
+    of one of the `k_kinds`. `prime_n` asks for n prime rather than odd and
+    squarefree.
+    """
+
+    targets: tuple[str, ...]
+    k_kinds: tuple[str, ...]
+    prime_n: bool
     hypotheses: tuple[tuple[str, Check], ...]
     conclude: Callable[[_Engine], tuple[dict, tuple]]
     extra: Callable[[_Engine], list[HypothesisVerdict]] = lambda eng: []
@@ -860,7 +797,7 @@ _TORSION_OVER_K = ("A.d", lambda e: e.torsion_vanishes(e.s.field_k))
 
 def _inherits_q_i(eng: _Engine) -> tuple[str, dict]:
     """A.d (over K) is implied by torsion vanishing over M, since K sits inside M."""
-    status, _ = eng.torsion_vanishes(eng.s.target_quadratic)
+    status, _ = eng.torsion_vanishes(eng.s.target)
     return status, {
         "statement": "torsion vanishing over K, implied by Q.i since K is a subfield of M",
         "inherited_from": "Q.i",
@@ -874,7 +811,7 @@ def _degree_two_coprime(eng: _Engine) -> tuple[str, dict]:
     }
 
 
-def _nontrivial(pre: str, local: tuple, rank_gap_id: str, refined: bool) -> _Theorem:
+def _nontrivial(pre: str, local: tuple, rank_gap_id: str, k_kinds: tuple) -> _Theorem:
     """Order-p elements of Sha(A/K) from conductor conditions on A[p].
 
     The plain variant demands that the prime-to-p conductor of A[p] equals
@@ -883,7 +820,7 @@ def _nontrivial(pre: str, local: tuple, rank_gap_id: str, refined: bool) -> _The
     multiplicative, over K = Q or a quadratic K via the base-change rules.
     """
     return _Theorem(
-        validate=functools.partial(_validate_nontrivial, refined=refined),
+        targets=(), k_kinds=k_kinds, prime_n=True,
         hypotheses=(
             (f"{pre}.good-p", _good_at_p),
             (f"{pre}.congruence", _Engine.congruent),
@@ -896,9 +833,10 @@ def _nontrivial(pre: str, local: tuple, rank_gap_id: str, refined: bool) -> _The
 
 
 THEOREMS = {
-    # the base theorem over K itself (no twist, no extension)
+    # the base theorem over K itself (no twist, no extension); not over a
+    # Kummer K, where irreducibility witnesses are out of reach
     "improv": _Theorem(
-        validate=_validate_improv,
+        targets=(), k_kinds=("rationals", "quadratic", "cyclotomic"), prime_n=False,
         hypotheses=(
             *_ASSUMPTIONS,
             _TORSION_OVER_K,
@@ -910,11 +848,11 @@ THEOREMS = {
     # coprime to the Tamagawa numbers of the twists over K, (iii) [M:K]
     # coprime to n; the bound is n^(rank B_chi(K) - rank A_chi(K))
     "quadratic": _Theorem(
-        validate=_validate_quadratic,
+        targets=("quadratic",), k_kinds=(), prime_n=False,
         hypotheses=(
             *_ASSUMPTIONS,
             ("A.d", _inherits_q_i),
-            ("Q.i", lambda e: e.torsion_vanishes(e.s.target_quadratic)),
+            ("Q.i", lambda e: e.torsion_vanishes(e.s.target)),
             ("Q.ii", lambda e: e.tamagawa(*e.twisted, e.s.field_k)),
             ("Q.iii", _degree_two_coprime),
         ),
@@ -923,18 +861,18 @@ THEOREMS = {
     "nontrivial": _nontrivial(
         "N",
         (("N.conductor", _conductor_equality), ("N.irreducible", _Engine.irreducible)),
-        "N.rank-gap", refined=False,
+        "N.rank-gap", k_kinds=("rationals",),
     ),
     "nontrivial1": _nontrivial(
         "N1",
         (("N1.a", _nonsplit_drop), ("N1.b", _semistable), ("N1.c", _Engine.irreducible)),
-        "N1.d", refined=True,
+        "N1.d", k_kinds=("rationals", "quadratic"),
     ),
     # over a degree-p Kummer layer M = K(m^(1/p)): (i) ramification of M at
     # primes dividing N/N_A, (ii) p prime to the Tamagawa numbers over K at
     # primes dividing N_A
     "exten": _Theorem(
-        validate=_validate_exten,
+        targets=("kummer",), k_kinds=(), prime_n=True,
         hypotheses=(
             *_ASSUMPTIONS,
             _TORSION_OVER_K,
@@ -947,10 +885,10 @@ THEOREMS = {
     # over a p-adic Lie tower: the assumption block over its base, plus one
     # verdict per bad prime
     "lie": _Theorem(
-        validate=_validate_lie,
+        targets=("cyclotomic_zp", "false_tate"), k_kinds=(), prime_n=True,
         hypotheses=(
             *_ASSUMPTIONS,
-            ("A.d", lambda e: e.torsion_vanishes(e.s.target_tower.base)),
+            _TORSION_OVER_K,  # K is the base of the tower
         ),
         conclude=_conclude_lie,
         extra=_lie_layers,
@@ -967,11 +905,10 @@ THEOREM_HYPOTHESES = {
 def verify_scenario(scenario: VisibilityScenario,
                     dataset: dataio.Dataset | None = None,
                     remote: dataio.RemoteClient | None = None) -> VisibilityCertificate:
-    """Validate the scenario for its theorem, check each hypothesis in schema
-    order, append the theorem's extra verdicts and the user assertions, and
+    """Check each hypothesis of the scenario's theorem in schema order,
+    append the theorem's extra verdicts and the user assertions, and
     conclude."""
     theorem = THEOREMS[scenario.theorem]
-    theorem.validate(scenario)
     eng = _Engine(scenario, dataset, remote)
     verdicts = [HypothesisVerdict(vid, *check(eng)) for vid, check in theorem.hypotheses]
     verdicts += theorem.extra(eng)

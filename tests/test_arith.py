@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -110,6 +111,19 @@ def test_primality_deterministic_range():
         assert not arith.is_prime(n), n
     for bound in (0, 1, 2, 3, 4, 9, 10, 11, 1000, 1009):
         assert list(arith.primes(bound)) == [n for n in range(bound + 1) if arith.is_prime(n)]
+
+
+@pytest.mark.parametrize("segment", [1, 2, 3, 16])
+def test_primes_across_sieve_segments(monkeypatch, segment):
+    monkeypatch.setattr(arith, "_SIEVE_SEGMENT", segment)
+    for bound in range(300):
+        assert list(arith.primes(bound)) == [n for n in range(bound + 1) if arith.is_prime(n)]
+
+
+def test_primes_reads_only_the_segments_it_yields():
+    # a congruence sweep over a Sturm bound of 10^40 that stops at its
+    # first mismatch; the whole sieve would need 5 * 10^39 bytes
+    assert list(itertools.islice(arith.primes(10**40), 6)) == [2, 3, 5, 7, 11, 13]
 
 
 def test_factor_and_squarefree():

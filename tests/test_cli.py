@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shavis import localdata
 from shavis.cli import main
@@ -141,6 +146,28 @@ def test_verify_bad_scenario_shape_exits_2(capsys, tmp_path, key, value, shape):
     assert err.startswith(f"error: '{key}' must be {shape}")
 
 
+def test_verify_singular_rank_record_exits_2(capsys, tmp_path):
+    blob = json.loads(bundled_scenario_path("ex_203_quadratic_3").read_text())
+    blob["rank_records"] = [{"curve": [0, 0, 0, 0, 0], "field": {"kind": "rationals"}, "rank": 0}]
+    code, _, err = run(capsys, "verify", _write(tmp_path, blob))
+    assert code == 2
+    assert err.startswith("error: singular model")
+
+
+@pytest.mark.parametrize("assertion, key", [
+    pytest.param({"id": 5}, "id", id="id-int"),
+    pytest.param({"id": "ua", "statement": ["a", "list"]}, "statement", id="statement-list"),
+])
+def test_verify_non_string_user_assertion_exits_2(capsys, tmp_path, assertion, key):
+    blob = json.loads(bundled_scenario_path("ex_203_quadratic_3").read_text())
+    blob["user_assertions"] = [assertion]
+    out_file = tmp_path / "cert.json"
+    code, _, err = run(capsys, "verify", _write(tmp_path, blob), "--out", str(out_file))
+    assert code == 2
+    assert err.startswith(f"error: user assertion '{key}' must be a string")
+    assert not out_file.exists()  # rejected before any computation
+
+
 def test_verify_bool_congruence_bound_exits_2(capsys, tmp_path):
     blob = json.loads(bundled_scenario_path("ex1_quadratic_59").read_text())
     blob["options"]["congruence_bound"] = True
@@ -232,8 +259,86 @@ def test_examples_unknown(capsys):
     assert run(capsys, "examples", "nope")[0] == 2
 
 
+@pytest.mark.parametrize("content, message", [
+    pytest.param(None, "[Errno 2] No such file or directory", id="missing"),
+    pytest.param("x|y\n", "line 1: expected 5 pipe-separated fields", id="malformed"),
+])
+def test_examples_bad_dataset_exits_2(capsys, tmp_path, content, message):
+    path = tmp_path / "curves.dataset"
+    if content is not None:
+        path.write_text(content)
+    code, _, err = run(capsys, "examples", "ex1", "--dataset", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+
+
 def test_examples_all(capsys):
     code, out, _ = run(capsys, "examples", "all")
     assert code == 0
     assert out.count("PASS") == 6
     assert "all pass" in out
+
+
+# ---- the scenario fuzzer: no input reaches exit 5
+
+SMALL = st.integers(-30, 30)
+PRIME = st.sampled_from([2, 3, 5, 7, 11])
+FIELD = st.one_of(
+    st.just({"kind": "rationals"}),
+    st.builds(lambda d: {"kind": "quadratic", "d": d}, SMALL),
+    st.builds(lambda p: {"kind": "cyclotomic", "p": p}, PRIME),
+    st.builds(lambda p, m: {"kind": "kummer", "p": p, "m": m}, PRIME, SMALL),
+    st.builds(lambda p: {"kind": "cyclotomic_zp", "p": p}, PRIME),
+    st.builds(lambda p, m: {"kind": "false_tate", "p": p, "m": m}, PRIME, SMALL),
+)
+#: Values of the shapes a scenario holds, mostly in the wrong place.
+JUNK = st.one_of(
+    st.none(), st.booleans(), SMALL, st.floats(-30, 30), st.text(max_size=4),
+    st.sampled_from(["improv", "quadratic", "nontrivial", "nontrivial1", "exten", "lie",
+                     "heuristic", "bounded-proof", "full", "rationals", "false_tate"]),
+    st.lists(SMALL, min_size=5, max_size=5), st.lists(SMALL, max_size=3), FIELD,
+    st.dictionaries(st.sampled_from(["kind", "d", "p", "m", "id", "curve"]), SMALL, max_size=2),
+)
+#: Where the junk goes: a top-level key, or (object, key) for one field of
+#: the rank record, the user assertion, the target or the options.
+PLACES = (
+    "schema_version", "name", "theorem", "p", "curve_a", "curve_b", "base_field",
+    "field_k", "target", "rank_records", "user_assertions", "options",
+    *(("rank_records", k) for k in ("curve", "field", "rank", "provenance")),
+    *(("user_assertions", k) for k in ("id", "statement")),
+    *(("target", k) for k in ("kind", "d")),
+    *(("options", k) for k in ("mode", "evidence", "congruence_bound")),
+)
+
+
+def fuzzed_scenario(place, junk) -> dict:
+    """ex_203_quadratic_3 with one rank record and one user assertion, and
+    `junk` at `place`."""
+    blob = json.loads(bundled_scenario_path("ex_203_quadratic_3").read_text())
+    blob["rank_records"] = [{"curve": [0, -1, 1, 20, -8], "field": {"kind": "rationals"},
+                             "rank": 0, "provenance": "user"}]
+    blob["user_assertions"] = [{"id": "ua", "statement": "a user claim"}]
+    if isinstance(place, str):
+        blob[place] = junk
+    else:
+        key, field = place
+        target = blob[key][0] if key in ("rank_records", "user_assertions") else blob[key]
+        target[field] = junk
+    return blob
+
+
+@settings(max_examples=40, deadline=None)
+@given(place=st.sampled_from(PLACES), junk=JUNK)
+@example(place=("user_assertions", "id"), junk=5)
+@example(place=("rank_records", "curve"), junk=[0, 0, 0, 0, 0])
+@example(place=("rank_records", "curve"), junk="[0, -1, 1, 20, -8]")
+@example(place=("target", "d"), junk=float("inf"))
+@example(place="curve_b", junk=[17, 4, 17, 0, 17])  # a Sturm bound near 2.9 * 10^10
+def test_verify_fuzzed_scenario_never_exits_5(place, junk):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(fuzzed_scenario(place, junk)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["verify", str(path), "--out", str(Path(tmp) / "cert.json")])
+    assert code in {0, 2, 3, 4}, err.getvalue()

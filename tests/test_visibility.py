@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,22 @@ def test_scenario_validation_errors():
         scenario(target={"kind": "weird"})
     with pytest.raises(ScenarioError):
         scenario_from_dict({"schema_version": 2})
+    # each theorem's input rules, from its THEOREMS entry
+    kummer, mu_3 = {"kind": "kummer", "p": 3, "m": 7}, {"kind": "cyclotomic", "p": 3}
+    for edit, message in (
+        ({"theorem": "nontrivial", "p": 15}, "nontrivial theorem needs prime n, got 15"),
+        ({"theorem": "exten", "field_k": mu_3}, "exten theorem needs a kummer target"),
+        ({"theorem": "lie"}, "lie theorem needs a cyclotomic_zp or false_tate target"),
+        ({"theorem": "exten", "field_k": mu_3, "target": {**kummer, "p": 5}},
+         "target prime 5 != scenario p 3"),
+        ({"theorem": "lie", "target": {"kind": "false_tate", "p": 3, "m": 7}},
+         "target false-Tate tower (p=3, m=7) lies over K = Q(mu_3), not K = Q"),
+        ({"field_k": {"kind": "quadratic", "d": 5}}, "lies over K = Q, not K = Q(sqrt(5))"),
+        ({"theorem": "nontrivial", "field_k": {"kind": "quadratic", "d": 5}},
+         "nontrivial theorem takes K of kind rationals, not quadratic"),
+    ):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            scenario(**edit)
 
 
 def test_quadratic_203_certificate(dataset):
@@ -108,22 +125,27 @@ def test_improv_fails_on_untwisted_ex1(dataset, e1_52, e2_364):
 
 
 def test_improv_certifies_with_user_ranks(dataset):
-    s = scenario_from_dict({
-        "schema_version": 1, "name": "improv-3536", "theorem": "improv", "p": 3,
-        "curve_a": [0, 1, 0, -30008176, -63229110828],
-        "curve_b": [0, 1, 0, -144, 532],
-        "rank_records": [
-            {"curve": [0, 1, 0, -30008176, -63229110828], "field": {"kind": "rationals"},
-             "rank": 0, "provenance": "user"},
-            {"curve": [0, 1, 0, -144, 532], "field": {"kind": "rationals"},
-             "rank": 2, "provenance": "user"},
-        ],
-        "options": {"congruence_bound": 120},
-    })
-    cert = verify_scenario(s, dataset)
-    assert cert.overall == "certified"
-    assert cert.conclusion["min_visible_order"] == 9
-    assert all(r["provenance"] in ("user",) for r in cert.rank_provenance)
+    for record_b in (
+        [0, 1, 0, -144, 532],
+        # the same curve scaled by u = 10, in decimals: 0.01 is 1/100, not a float
+        [0, 0.01, 0, -0.0144, 0.000532],
+    ):
+        s = scenario_from_dict({
+            "schema_version": 1, "name": "improv-3536", "theorem": "improv", "p": 3,
+            "curve_a": [0, 1, 0, -30008176, -63229110828],
+            "curve_b": [0, 1, 0, -144, 532],
+            "rank_records": [
+                {"curve": [0, 1, 0, -30008176, -63229110828], "field": {"kind": "rationals"},
+                 "rank": 0, "provenance": "user"},
+                {"curve": record_b, "field": {"kind": "rationals"}, "rank": 2,
+                 "provenance": "user"},
+            ],
+            "options": {"congruence_bound": 120},
+        })
+        cert = verify_scenario(s, dataset)
+        assert cert.overall == "certified"
+        assert cert.conclusion["min_visible_order"] == 9
+        assert [r["provenance"] for r in cert.rank_provenance] == ["user", "user"]
 
 
 def test_nontrivial1_203_over_quadratic_field(dataset):
