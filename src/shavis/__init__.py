@@ -34,7 +34,6 @@ from .visibility import (
     HypothesisVerdict,
     VisibilityCertificate,
     VisibilityScenario,
-    check_analytic_divisibility,
     verify_lemma_twist,
     verify_scenario,
 )

@@ -16,9 +16,12 @@ import math
 #: Distinguished valuation of 0 (larger than any finite valuation).
 INFINITY = math.inf
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.317e24.
+# Deterministic Miller-Rabin witness set: the primes up to 41 leave no strong
+# pseudoprime below 3317044064679887385961981 (OEIS A014233, the least one
+# to the first 13 prime bases); the primes up to 37 alone pass the composite
+# 318665857834031151167461 = 399165290221 * 798330580441.
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Fixed extra witnesses (first 64 primes) for inputs above the deterministic
 # bound; keeps results reproducible run to run.
@@ -65,10 +68,11 @@ def padic_split(n: int, q: int) -> tuple[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic below 3.317e24, 64 fixed witnesses above."""
+    """Miller-Rabin; deterministic below 3.317e24 (witnesses 2..41), 64 fixed
+    witnesses above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -130,6 +134,8 @@ _WHEEL_BOUND = 1000
 _TRIAL_BOUND = 100_000
 #: Consecutive primes whose product one gcd screens.
 _RUN_LENGTH = 64
+#: Cofactors whose split `_split_cofactor` keeps.
+_COFACTOR_MEMO_SIZE = 64
 
 
 @functools.cache
@@ -165,6 +171,25 @@ def _screen(n: int, out: dict[int, int]) -> int:
     return n
 
 
+@functools.lru_cache(maxsize=_COFACTOR_MEMO_SIZE)
+def _split_cofactor(m: int) -> tuple[int, ...]:
+    """The primes of m > 1, with multiplicity, in the order a stack of
+    Pollard rho splits finds them. Kept for the last _COFACTOR_MEMO_SIZE
+    cofactors: the layers that re-derive a conductor factor the same
+    discriminant again, and rho is the costly part of it."""
+    found = []
+    stack = [m]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            found.append(m)
+            continue
+        f = _pollard_rho(m)
+        stack.append(f)
+        stack.append(m // f)
+    return tuple(found)
+
+
 def factor(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}. n != 0.
 
@@ -172,9 +197,11 @@ def factor(n: int) -> dict[int, int]:
     cofactor: a 2-3-5 wheel for d <= 1000, then a gcd screen against the
     products of runs of 64 primes (the run table is built on first use, so
     inputs without a cofactor above 1000^2 never pay for it). Pollard rho
-    splits what is left. Primes come out in increasing order, then the
-    factors of the cofactor. Intended for conductor/discriminant sized
-    inputs, not cryptographic ones.
+    splits what is left, through `_split_cofactor`, which keeps the split of
+    the last 64 cofactors, so a repeated input runs rho once per process
+    (`visibility.clear_memos` forgets them). Primes come out in increasing
+    order, then the factors of the cofactor in the order rho finds them.
+    Intended for conductor/discriminant sized inputs, not cryptographic ones.
     """
     if n == 0:
         raise ArithmeticError_("factor(0)")
@@ -195,15 +222,9 @@ def factor(n: int) -> dict[int, int]:
         i = (i + 1) % 8
     if d * d <= n:
         n = _screen(n, out)
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        f = _pollard_rho(m)
-        stack.append(f)
-        stack.append(m // f)
+    if n > 1:
+        for q in _split_cofactor(n):
+            out[q] = out.get(q, 0) + 1
     return out
 
 

@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import arith, curves, dataio, localdata, scenario as scenario_mod, visibility
+from . import curves, dataio, localdata, scenario as scenario_mod, visibility
 from .arith import ArithmeticError_
 
 EXIT_OK = 0
@@ -62,6 +62,7 @@ def cmd_inspect(args) -> int:
     except (curves.SingularCurveError, ArithmeticError_) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    exponents = {l.q: l.f for l in locs}  # N = prod q^f over the bad primes
     blob = {
         "input": [str(a) for a in model.ainvs()],
         "minimal_model": [str(a) for a in minimal.int_ainvs()],
@@ -72,7 +73,7 @@ def cmd_inspect(args) -> int:
             "j": str(inv.j),
         },
         "conductor": n,
-        "conductor_factorization": {str(q): e for q, e in arith.factor(n).items()} if n > 1 else {},
+        "conductor_factorization": {str(q): f for q, f in exponents.items()},
         "local_data": [l.to_json() for l in locs],
     }
     if args.json:
@@ -82,7 +83,7 @@ def cmd_inspect(args) -> int:
     print(f"minimal   {minimal}")
     print(f"disc      {inv.disc}")
     print(f"j         {inv.j}")
-    print(f"conductor {n}" + (f" = {_fact_str(n)}" if n > 1 else ""))
+    print(f"conductor {n}" + (f" = {_fact_str(exponents)}" if n > 1 else ""))
     if locs:
         print(f"{'q':>8} {'kodaira':>8} {'f':>3} {'c':>3} {'v(disc)':>8}  class")
         for l in locs:
@@ -92,10 +93,8 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _fact_str(n: int) -> str:
-    return " * ".join(
-        f"{q}^{e}" if e > 1 else str(q) for q, e in sorted(arith.factor(n).items())
-    )
+def _fact_str(exponents: dict[int, int]) -> str:
+    return " * ".join(f"{q}^{e}" if e > 1 else str(q) for q, e in sorted(exponents.items()))
 
 
 def _network_enabled() -> bool:

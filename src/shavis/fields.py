@@ -91,6 +91,14 @@ class NumberFieldDescriptor:
         return out
 
 
+def _json_int(blob: dict, key: str) -> int:
+    """blob[key], which must be a JSON integer: not a bool, a float or text."""
+    value = blob[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ArithmeticError_(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def field_from_json(blob) -> NumberFieldDescriptor:
     """The field a `NumberFieldDescriptor.to_json` blob names (a quadratic
     field may be given by any d); ArithmeticError_ on anything else."""
@@ -99,12 +107,12 @@ def field_from_json(blob) -> NumberFieldDescriptor:
         if kind == "rationals":
             return RATIONALS
         if kind == "quadratic":
-            return quadratic_field(int(blob["d"]))
+            return quadratic_field(_json_int(blob, "d"))
         if kind == "cyclotomic":
-            return cyclotomic_field(int(blob["p"]))
+            return cyclotomic_field(_json_int(blob, "p"))
         if kind == "kummer":
-            return kummer_layer(int(blob["p"]), int(blob["m"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return kummer_layer(_json_int(blob, "p"), _json_int(blob, "m"))
+    except (KeyError, ValueError) as exc:
         raise ArithmeticError_(f"bad {kind} field {blob!r}: {exc}") from exc
     raise ArithmeticError_(f"unknown field kind {kind!r}")
 
@@ -164,10 +172,10 @@ def tower_from_json(blob) -> TowerDescriptor:
     kind = blob.get("kind") if isinstance(blob, dict) else None
     try:
         if kind == "cyclotomic_zp":
-            return TowerDescriptor(kind, p=int(blob["p"]))
+            return TowerDescriptor(kind, p=_json_int(blob, "p"))
         if kind == "false_tate":
-            return TowerDescriptor(kind, p=int(blob["p"]), m=int(blob["m"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return TowerDescriptor(kind, p=_json_int(blob, "p"), m=_json_int(blob, "m"))
+    except (KeyError, ValueError) as exc:
         raise ArithmeticError_(f"bad {kind} tower {blob!r}: {exc}") from exc
     raise ArithmeticError_(f"unknown tower kind {kind!r}")
 

@@ -18,7 +18,6 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import arith, congruence, curves, dataio, fields, localdata
 from .arith import ArithmeticError_, SoundnessError
@@ -200,9 +199,11 @@ def _congruence_certificate(a_min: WeierstrassModel, b_min: WeierstrassModel, p:
 
 
 def clear_memos() -> None:
-    """Forget every curve fact and congruence certificate kept across scenarios."""
+    """Forget every curve fact, congruence certificate and factoring cofactor
+    split kept across scenarios."""
     curve_facts.cache_clear()
     _congruence_certificate.cache_clear()
+    arith._split_cofactor.cache_clear()
 
 
 class _Engine:
@@ -719,44 +720,6 @@ def verify_lemma_twist(model: WeierstrassModel, d: int, p: int) -> list[Hypothes
             f"{direct.to_json()}"
         )
     return out
-
-
-def check_analytic_divisibility(certificate: VisibilityCertificate,
-                                l_ratio: Fraction,
-                                derivative_order: int = 0) -> dict:
-    """Divisibility check on a user-supplied algebraic L-ratio.
-
-    Requires a certified order-p certificate from one of the nontrivial
-    theorems; asserts p divides the numerator of the supplied ratio (the
-    L-value itself is never computed here).
-    """
-    if certificate.scenario.theorem not in ("nontrivial", "nontrivial1"):
-        raise ArithmeticError_("analytic divisibility needs a nontrivial-theorem certificate")
-    if certificate.overall != CERTIFIED:
-        raise ArithmeticError_(f"prerequisite certificate is {certificate.overall}, not certified")
-    if derivative_order not in (0, 1):
-        raise ArithmeticError_("derivative order must be 0 or 1")
-    p = certificate.scenario.n
-    l_ratio = Fraction(l_ratio)
-    val = arith.valuation(l_ratio.numerator, p) if l_ratio != 0 else arith.INFINITY
-    consistent = l_ratio == 0 or val >= 1
-    quantity = (
-        "L(A,1)/Omega_A" if derivative_order == 0
-        else "L'(A,1)/(R(A/Q) * Omega_A), L(A,s) having a simple zero at s = 1"
-    )
-    return {
-        "p": p,
-        "quantity": quantity,
-        "l_ratio": str(l_ratio),
-        "valuation_at_p": "inf" if val == arith.INFINITY else int(val),
-        "consistent": consistent,
-        "note": (
-            f"{p} divides the numerator, as the certified certificate predicts"
-            if consistent
-            else f"{p} does not divide the numerator: contradicts the certificate, "
-                 "check the supplied ratio and rank records"
-        ),
-    }
 
 
 # ---------------------------------------------------------------------------

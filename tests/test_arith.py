@@ -113,6 +113,35 @@ def test_primality_deterministic_range():
         assert list(arith.primes(bound)) == [n for n in range(bound + 1) if arith.is_prime(n)]
 
 
+#: OEIS A014233: the least strong pseudoprime to each of the first k prime
+#: bases, k = 1..13.
+_A014233 = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+
+
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+def test_is_prime_rejects_the_least_strong_pseudoprimes():
+    bases = list(itertools.islice(arith.primes(100), 13))
+    assert arith._MR_WITNESSES == tuple(bases)
+    for k, n in enumerate(_A014233, 1):
+        assert all(_strong_probable_prime(n, a) for a in bases[:k]), (k, n)
+        assert not arith.is_prime(n), (k, n)
+    # the witnesses 2..37 pass it; 41 is the first base that does not
+    assert not _strong_probable_prime(_A014233[11], 41)
+    assert arith._MR_DETERMINISTIC_BOUND == _A014233[12]
+    assert arith.factor(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
+
+
 @pytest.mark.parametrize("segment", [1, 2, 3, 16])
 def test_primes_across_sieve_segments(monkeypatch, segment):
     monkeypatch.setattr(arith, "_SIEVE_SEGMENT", segment)
@@ -191,6 +220,51 @@ _FACTOR_POOL = sorted(
 )
 def test_factor_matches_the_wheel_reference(n, sign):
     assert list(arith.factor(sign * n).items()) == list(reference_factor(n).items())
+
+
+_RHO_SIDE = [p for p in _FACTOR_POOL if p > arith._TRIAL_BOUND]
+#: Products of _FACTOR_POOL primes that leave rho a cofactor above 10^10: at
+#: least two of them past the trial bound.
+_RHO_COFACTORS = st.builds(
+    lambda big, small: big + small,
+    st.lists(st.sampled_from(_RHO_SIDE), min_size=2, max_size=3),
+    st.lists(st.sampled_from(_FACTOR_POOL), max_size=4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example([100003, 1000003])
+@example([7, 100003, 100003, 10**9 + 7])
+@given(_RHO_COFACTORS)
+def test_factor_memo_matches_the_uncached_split(ps):
+    n = math.prod(ps)
+    arith._split_cofactor.cache_clear()
+    first = arith.factor(n)
+    assert arith._split_cofactor.cache_info()[:2] == (0, 1)  # (hits, misses)
+    second = arith.factor(n)
+    assert arith._split_cofactor.cache_info()[:2] == (1, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_split_cofactor", arith._split_cofactor.__wrapped__)
+        uncached = arith.factor(n)
+    assert list(first.items()) == list(second.items()) == list(uncached.items())
+    assert list(first.items()) == list(reference_factor(n).items())
+    assert sorted(arith._split_cofactor(math.prod(p for p in ps if p in _RHO_SIDE))) == sorted(
+        p for p in ps if p in _RHO_SIDE)
+
+
+def test_factor_memo_is_bounded_and_cleared_with_the_other_memos():
+    from shavis.visibility import clear_memos
+
+    arith._split_cofactor.cache_clear()
+    arith.factor(2 * 3 * 5)  # no cofactor after the wheel: the memo is not read
+    assert arith._split_cofactor.cache_info().currsize == 0
+    big = [q for q in range(10**9, 10**9 + 2000) if arith.is_prime(q)]
+    for q in big[: arith._COFACTOR_MEMO_SIZE + 8]:
+        arith.factor(100003 * q)
+    assert arith._split_cofactor.cache_info().maxsize == arith._COFACTOR_MEMO_SIZE
+    assert arith._split_cofactor.cache_info().currsize == arith._COFACTOR_MEMO_SIZE
+    clear_memos()
+    assert arith._split_cofactor.cache_info().currsize == 0
 
 
 def test_mu_index():

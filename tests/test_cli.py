@@ -146,6 +146,22 @@ def test_verify_bad_scenario_shape_exits_2(capsys, tmp_path, key, value, shape):
     assert err.startswith(f"error: '{key}' must be {shape}")
 
 
+@pytest.mark.parametrize("key, field, bad", [
+    pytest.param("field_k", {"kind": "cyclotomic", "p": 3.9}, "'p'", id="cyclotomic-p-float"),
+    pytest.param("target", {"kind": "quadratic", "d": 5.5}, "'d'", id="quadratic-d-float"),
+    pytest.param("target", {"kind": "quadratic", "d": "59"}, "'d'", id="quadratic-d-text"),
+    pytest.param("target", {"kind": "quadratic", "d": True}, "'d'", id="quadratic-d-bool"),
+    pytest.param("target", {"kind": "cyclotomic_zp", "p": 3.7}, "'p'", id="cyclotomic_zp-p-float"),
+    pytest.param("target", {"kind": "false_tate", "p": 3, "m": 7.0}, "'m'", id="false_tate-m-float"),
+])
+def test_verify_non_integer_field_parameter_exits_2(capsys, tmp_path, key, field, bad):
+    blob = json.loads(bundled_scenario_path("ex1_quadratic_59").read_text())
+    blob[key] = field
+    code, _, err = run(capsys, "verify", _write(tmp_path, blob))
+    assert code == 2
+    assert f"{bad} must be an integer" in err
+
+
 def test_verify_singular_rank_record_exits_2(capsys, tmp_path):
     blob = json.loads(bundled_scenario_path("ex_203_quadratic_3").read_text())
     blob["rank_records"] = [{"curve": [0, 0, 0, 0, 0], "field": {"kind": "rationals"}, "rank": 0}]

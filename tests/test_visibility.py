@@ -1,6 +1,5 @@
 import json
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +11,6 @@ from shavis.visibility import (
     THEOREM_HYPOTHESES,
     ScenarioError,
     _Engine,
-    check_analytic_divisibility,
     clear_memos,
     curve_facts,
     verify_lemma_twist,
@@ -288,34 +286,6 @@ def test_lemma_twist_never_contradicts_direct_check(d, p):
     if arith.fundamental_discriminant(d) % 37 == 0:
         return
     verify_lemma_twist(m, d, p)
-
-
-def test_analytic_divisibility(dataset):
-    s = scenario_from_dict({
-        "schema_version": 1, "name": "nontrivial1-203", "theorem": "nontrivial1",
-        "p": 3, "curve_a": E203_1, "curve_b": E203_2,
-        "field_k": {"kind": "quadratic", "d": 3},
-        "options": {"congruence_bound": 60},
-    })
-    cert = verify_scenario(s, dataset)
-    assert cert.overall == "certified"
-    report = check_analytic_divisibility(cert, Fraction(9, 4))
-    assert report["consistent"] and report["valuation_at_p"] == 2
-    report2 = check_analytic_divisibility(cert, Fraction(5, 4))
-    assert not report2["consistent"]
-    report3 = check_analytic_divisibility(cert, Fraction(6), derivative_order=1)
-    assert "simple zero" in report3["quantity"]
-    # prerequisite checks
-    failed = verify_scenario(scenario_from_dict({
-        "schema_version": 1, "name": "gap-zero", "theorem": "nontrivial1",
-        "p": 3, "curve_a": E203_1, "curve_b": E203_2,
-        "options": {"congruence_bound": 60},
-    }), dataset)
-    with pytest.raises(arith.ArithmeticError_):
-        check_analytic_divisibility(failed, Fraction(9))
-    quad = verify_scenario(scenario(), dataset)
-    with pytest.raises(arith.ArithmeticError_):
-        check_analytic_divisibility(quad, Fraction(9))
 
 
 def test_lie_false_tate_dimension_branch(dataset):
