@@ -4,8 +4,9 @@ Rank records, point search and the trust boundary
 =================================================
 
 Mordell-Weil ranks are the one ingredient certificates cannot prove. This
-demo shows the source tiers (user > dataset > remote > point search) and the
-naive search producing honest lower bounds with witness points.
+demo shows the source tiers (user > dataset > point search) and the naive
+search producing honest lower bounds with witness points. An outside rank
+table comes in as a dataset file (`load_dataset(path)`, `--dataset PATH`).
 """
 
 from shavis import (
@@ -45,7 +46,7 @@ print("\nrank-0 twist search:", point_search(tw1, 500))
 # rank_over resolves through the tiers and records provenance; quadratic
 # fields decompose into two rational ranks.
 
-sources = RankSources(dataset=dataset, search_height=500)
+sources = RankSources(dataset=dataset)
 rec = rank_over(E1, quadratic_field(59), sources)
 print(f"\nrank(E1/Q(sqrt 59)) = {rec.rank} by {rec.provenance}")
 for s in rec.summands:

@@ -3,19 +3,19 @@ examples.
 
     shavis inspect "[a1,a2,a3,a4,a6]" [--json]
     shavis verify SCENARIO.json [--out FILE] [--mode M] [--evidence E]
-                                [--dataset PATH] [--cache DIR]
+                                [--dataset PATH]
     shavis examples [NAME | --all] [--dataset PATH]
 
 Exit codes: 0 ok/certified, 2 input error, 3 hypothesis failure, 4 partial
-certificate (missing rank records or assertions), 5 internal error. The
-remote rank tier stays off unless SHAVIS_OFFLINE=0 is exported.
+certificate (missing rank records or assertions), 5 internal error. Ranks
+come from the scenario's rank records, the curve dataset (the bundled one
+or --dataset PATH) or a point search, in that order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -97,11 +97,6 @@ def _fact_str(exponents: dict[int, int]) -> str:
     return " * ".join(f"{q}^{e}" if e > 1 else str(q) for q, e in sorted(exponents.items()))
 
 
-def _network_enabled() -> bool:
-    """The remote rank tier is opt-in: exporting SHAVIS_OFFLINE=0 enables it."""
-    return os.environ.get(dataio.ENV_OFFLINE, "") in ("0", "false")
-
-
 def cmd_verify(args) -> int:
     try:
         scn = scenario_mod.load_scenario(args.scenario)
@@ -111,17 +106,18 @@ def cmd_verify(args) -> int:
     except (visibility.ScenarioError, dataio.DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    remote = None
-    if _network_enabled():
-        remote = dataio.RemoteClient(cache_dir=args.cache)
     try:
-        cert = visibility.verify_scenario(scn, dataset, remote)
+        cert = visibility.verify_scenario(scn, dataset)
     except ArithmeticError_ as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     payload = _dump_json(cert.to_json())
     if args.out:
-        Path(args.out).write_text(payload + "\n")
+        try:
+            Path(args.out).write_text(payload + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"certificate written to {args.out}")
     else:
         print(payload)
@@ -193,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mode", choices=["heuristic", "bounded-proof"])
     p_verify.add_argument("--evidence", choices=["summary", "full"])
     p_verify.add_argument("--dataset", help="alternate curve dataset path")
-    p_verify.add_argument("--cache", help="cache directory for remote fetches")
     p_verify.set_defaults(func=cmd_verify)
 
     p_ex = sub.add_parser("examples", help="replay the bundled worked examples")

@@ -1,17 +1,16 @@
-"""Curve and rank data ingestion: the bundled dataset, a cached remote curve
-database client, naive rational point search, and rank resolution with
-provenance tracking.
+"""Curve and rank data ingestion: the curve dataset, naive rational point
+search, and rank resolution with provenance tracking.
 
 Ranks are the one hypothesis this package cannot prove. Every resolved rank
-carries its provenance tier (user > dataset > remote > point-search), and a
-point search only ever asserts a lower bound.
+carries its provenance tier (user > dataset > point-search), and a point
+search only ever asserts a lower bound. An outside rank table comes in only
+as a dataset file, whose every row `load_dataset` checks.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -22,17 +21,12 @@ from .arith import ArithmeticError_, SoundnessError
 from .curves import WeierstrassModel
 from .hecke import TORSION_MAX_ORDER, ModCurve
 
+#: Naive height bound of the point search behind the point-search rank tier.
+SEARCH_HEIGHT = 2000
+
 
 class DatasetError(ValueError):
     """Malformed or inconsistent dataset content."""
-
-
-class RemoteUnavailableError(RuntimeError):
-    """Remote fetch failed and the cache has no answer."""
-
-
-class RemoteSchemaError(ValueError):
-    """Remote response did not match the expected shape."""
 
 
 @dataclass(frozen=True)
@@ -42,28 +36,6 @@ class CurveRecord:
     conductor: int
     rank: int
     torsion_order: int
-    source: str  # dataset | remote | user
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "ainvs": [str(a) for a in self.model.int_ainvs()],
-            "conductor": self.conductor,
-            "rank": self.rank,
-            "torsion_order": self.torsion_order,
-            "source": self.source,
-        }
-
-    @classmethod
-    def from_json(cls, blob: dict, source: str = "remote") -> "CurveRecord":
-        return cls(
-            label=str(blob["label"]),
-            model=WeierstrassModel.from_list([int(a) for a in blob["ainvs"]]),
-            conductor=int(blob["conductor"]),
-            rank=int(blob["rank"]),
-            torsion_order=int(blob.get("torsion_order", blob.get("torsion", 0))),
-            source=source,
-        )
 
 
 @dataclass(frozen=True)
@@ -71,7 +43,7 @@ class RankRecord:
     model: WeierstrassModel
     field: fields.NumberFieldDescriptor
     rank: int
-    provenance: str  # dataset | remote | user | point-search-lower-bound | twist-decomposition
+    provenance: str  # dataset | user | point-search-lower-bound | twist-decomposition
     witness_points: tuple = ()
     summands: tuple = ()
 
@@ -110,43 +82,65 @@ def model_key(model: WeierstrassModel) -> str:
 
 
 class Dataset:
-    """In-memory curve table indexed by label and by conductor."""
+    """In-memory curve table indexed by label, by conductor and by minimal
+    model, with one row per label and per minimal model."""
 
-    def __init__(self, records: list[CurveRecord]):
-        self.records = records
-        self.by_label = {r.label: r for r in records}
+    def __init__(self):
+        self.records: list[CurveRecord] = []
+        self.by_label: dict[str, CurveRecord] = {}
         self.by_conductor: dict[int, list[CurveRecord]] = {}
-        self.by_model = {}
-        for r in records:
-            self.by_conductor.setdefault(r.conductor, []).append(r)
-            self.by_model[model_key(r.model)] = r
+        self.by_model: dict[str, CurveRecord] = {}
 
     def __len__(self):
         return len(self.records)
+
+    def add(self, rec: CurveRecord) -> None:
+        """Index rec; DatasetError if its label or its minimal model is in already."""
+        key = model_key(rec.model)
+        for index, k, what in ((self.by_label, rec.label, "label"),
+                               (self.by_model, key, "minimal model")):
+            if k in index:
+                raise DatasetError(f"{rec.label}: repeated {what}, first given as {index[k].label}")
+        self.records.append(rec)
+        self.by_label[rec.label] = rec
+        self.by_model[key] = rec
+        self.by_conductor.setdefault(rec.conductor, []).append(rec)
 
     def lookup_model(self, model: WeierstrassModel) -> CurveRecord | None:
         return self.by_model.get(model_key(model))
 
 
 def parse_dataset_line(line: str, lineno: int) -> CurveRecord:
+    """One row `label|[a1,a2,a3,a4,a6]|conductor|rank|torsion`: the
+    a-invariants are JSON integers of a nonsingular model, the rank is >= 0
+    and the torsion order >= 1."""
     parts = line.split("|")
     if len(parts) != 5:
         raise DatasetError(f"line {lineno}: expected 5 pipe-separated fields, got {len(parts)}")
     label, ainvs_s, cond_s, rank_s, tors_s = (p.strip() for p in parts)
     try:
         ainvs = json.loads(ainvs_s)
-        model = WeierstrassModel.from_list([int(a) for a in ainvs])
+        if not isinstance(ainvs, list) or any(
+                isinstance(a, bool) or not isinstance(a, int) for a in ainvs):
+            raise DatasetError(f"a-invariants must be a list of integers, got {ainvs_s}")
+        model = WeierstrassModel.from_list(ainvs)
+        curves.invariants(model)  # raises SingularCurveError
         cond, rank, tors = int(cond_s), int(rank_s), int(tors_s)
-    except (ValueError, TypeError, ArithmeticError_) as exc:
+        if rank < 0:
+            raise DatasetError(f"rank must be >= 0, got {rank}")
+        if tors < 1:
+            raise DatasetError(f"torsion order must be >= 1, got {tors}")
+    except ValueError as exc:  # DatasetError, ArithmeticError_ and SingularCurveError among them
         raise DatasetError(f"line {lineno}: {exc}") from exc
-    return CurveRecord(label, model, cond, rank, tors, "dataset")
+    return CurveRecord(label, model, cond, rank, tors)
 
 
 def load_dataset(path: str | Path | None = None) -> Dataset:
     """Parse and validate a pipe-delimited dataset; None loads the bundled one.
 
     Every row's conductor is recomputed with Tate's algorithm; a mismatch is
-    a hard error since it means the fixture is corrupt.
+    a hard error since it means the fixture is corrupt. So is a second row
+    with the label or the minimal model of an earlier one.
     """
     if path is None:
         text = resources.files("shavis").joinpath("data/curves.dataset").read_text()
@@ -154,7 +148,7 @@ def load_dataset(path: str | Path | None = None) -> Dataset:
     else:
         text = Path(path).read_text()
         origin = str(path)
-    records = []
+    dataset = Dataset()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -166,8 +160,11 @@ def load_dataset(path: str | Path | None = None) -> Dataset:
                 f"{origin} line {lineno}: stated conductor {rec.conductor} of {rec.label} "
                 f"disagrees with recomputed {recomputed}"
             )
-        records.append(rec)
-    return Dataset(records)
+        try:
+            dataset.add(rec)
+        except DatasetError as exc:
+            raise DatasetError(f"{origin} line {lineno}: {exc}") from exc
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -432,101 +429,14 @@ def _iter_coeffs(k: int, window: int):
 
 
 # ---------------------------------------------------------------------------
-# remote client
-
-DEFAULT_BASE_URL = "https://www.lmfdb.org/api/ec_curvedata"
-ENV_BASE_URL = "SHAVIS_DB_URL"
-ENV_OFFLINE = "SHAVIS_OFFLINE"
-
-
-def _default_fetcher(url: str):
-    from urllib.request import urlopen  # loads ssl and hashlib; only the remote tier needs them
-
-    with urlopen(url, timeout=30) as resp:  # HTTP error statuses raise
-        return json.load(resp)
-
-
-def _lmfdb_adapter(payload: dict) -> list[dict]:
-    """Map an LMFDB-style response onto record dicts."""
-    if not isinstance(payload, dict) or "data" not in payload:
-        raise RemoteSchemaError(f"unexpected response shape: {str(payload)[:200]}")
-    out = []
-    for row in payload["data"]:
-        try:
-            out.append(
-                {
-                    "label": row.get("lmfdb_label") or row["label"],
-                    "ainvs": row["ainvs"],
-                    "conductor": row["conductor"],
-                    "rank": row["rank"],
-                    "torsion_order": row.get("torsion", row.get("torsion_order", 0)),
-                }
-            )
-        except (KeyError, TypeError) as exc:
-            raise RemoteSchemaError(f"missing field {exc} in row {str(row)[:200]}") from exc
-    return out
-
-
-class RemoteClient:
-    """Cached HTTP client for an LMFDB-style JSON curve database.
-
-    Responses are cached on disk keyed by the query; offline mode serves the
-    cache only. Whether the remote tier runs at all is the CLI's decision
-    (SHAVIS_OFFLINE).
-    """
-
-    def __init__(self, base_url=None, cache_dir=None, offline=False, fetcher=None):
-        self.base_url = base_url or os.environ.get(ENV_BASE_URL, DEFAULT_BASE_URL)
-        self.cache_dir = Path(cache_dir) if cache_dir else Path.home() / ".cache" / "shavis"
-        self.offline = offline
-        self.fetcher = fetcher or _default_fetcher
-        self.request_count = 0
-
-    def _url(self, query: dict) -> str:
-        params = "&".join(f"{k}={v}" for k, v in sorted(query.items()))
-        return f"{self.base_url}/?{params}&_format=json"
-
-    def _cache_path(self, url: str) -> Path:
-        import hashlib  # loads OpenSSL; only the remote tier needs it
-
-        digest = hashlib.sha256(url.encode()).hexdigest()
-        return self.cache_dir / f"{digest}.json"
-
-    def fetch(self, label_or_conductor) -> list[CurveRecord]:
-        if isinstance(label_or_conductor, int):
-            query = {"conductor": f"i{label_or_conductor}"}
-        else:
-            query = {"lmfdb_label": str(label_or_conductor)}
-        url = self._url(query)
-        cache_file = self._cache_path(url)
-        payload = None
-        if cache_file.exists():
-            payload = json.loads(cache_file.read_text())
-        elif self.offline:
-            raise RemoteUnavailableError(f"offline and no cached answer for {url}")
-        if payload is None:
-            try:
-                self.request_count += 1
-                payload = self.fetcher(url)
-            except Exception as exc:
-                raise RemoteUnavailableError(f"fetch failed for {url}: {exc}") from exc
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            cache_file.write_text(json.dumps(payload, sort_keys=True))
-        return [CurveRecord.from_json(blob) for blob in _lmfdb_adapter(payload)]
-
-
-# ---------------------------------------------------------------------------
 # rank resolution
 
 class RankSources:
-    """Prioritized rank lookup: user > dataset > remote > point search."""
+    """Prioritized rank lookup: user > dataset > point search."""
 
-    def __init__(self, dataset: Dataset | None = None, user_records: list[RankRecord] = (),
-                 remote: RemoteClient | None = None, search_height: int = 2000):
+    def __init__(self, dataset: Dataset | None = None, user_records: list[RankRecord] = ()):
         self.dataset = dataset
         self.user_records = list(user_records)
-        self.remote = remote
-        self.search_height = search_height
 
 
 def rank_over(
@@ -549,16 +459,7 @@ def rank_over(
             hit = sources.dataset.lookup_model(model)
             if hit is not None:
                 return RankRecord(model, field, hit.rank, "dataset")
-        if sources.remote is not None:
-            minimal, _ = curves.minimal_model(model)
-            n, _ = localdata.conductor(minimal)
-            try:
-                for rec in sources.remote.fetch(n):
-                    if model_key(rec.model) == key:
-                        return RankRecord(model, field, rec.rank, "remote")
-            except RemoteUnavailableError:
-                pass
-        pts, bound = point_search(model, sources.search_height)
+        pts, bound = point_search(model, SEARCH_HEIGHT)
         return RankRecord(model, field, bound, "point-search-lower-bound",
                           witness_points=tuple(pts))
     if field.kind == "quadratic":

@@ -216,8 +216,7 @@ class _Engine:
     target field, come from the process-wide memos above.
     """
 
-    def __init__(self, scenario: VisibilityScenario, dataset: dataio.Dataset | None = None,
-                 remote: "dataio.RemoteClient | None" = None):
+    def __init__(self, scenario: VisibilityScenario, dataset: dataio.Dataset | None = None):
         self.s = scenario
         fa, fb = curve_facts(scenario.curve_a), curve_facts(scenario.curve_b)
         self.a_min, self.b_min = fa.minimal, fb.minimal
@@ -228,7 +227,7 @@ class _Engine:
         self._ranks: dict = {}
         self._torsion: dict = {}
         user_recs = [dataio.rank_record_from_json(r) for r in scenario.rank_records]
-        self.sources = dataio.RankSources(dataset=dataset, user_records=user_recs, remote=remote)
+        self.sources = dataio.RankSources(dataset=dataset, user_records=user_recs)
 
     @functools.cached_property
     def twisted(self) -> tuple[WeierstrassModel, WeierstrassModel]:
@@ -866,13 +865,12 @@ THEOREM_HYPOTHESES = {
 
 
 def verify_scenario(scenario: VisibilityScenario,
-                    dataset: dataio.Dataset | None = None,
-                    remote: dataio.RemoteClient | None = None) -> VisibilityCertificate:
+                    dataset: dataio.Dataset | None = None) -> VisibilityCertificate:
     """Check each hypothesis of the scenario's theorem in schema order,
     append the theorem's extra verdicts and the user assertions, and
     conclude."""
     theorem = THEOREMS[scenario.theorem]
-    eng = _Engine(scenario, dataset, remote)
+    eng = _Engine(scenario, dataset)
     verdicts = [HypothesisVerdict(vid, *check(eng)) for vid, check in theorem.hypotheses]
     verdicts += theorem.extra(eng)
     verdicts += _record_user_assertions(scenario)

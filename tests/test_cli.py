@@ -76,6 +76,16 @@ def test_verify_bundled_ex1(capsys, tmp_path):
     assert "ex1_quadratic_59: certified" in err
 
 
+def test_verify_out_into_missing_directory_exits_2(capsys, tmp_path):
+    out_file = tmp_path / "missing" / "cert.json"
+    code, _, err = run(
+        capsys, "verify", str(bundled_scenario_path("ex1_quadratic_59")),
+        "--out", str(out_file),
+    )
+    assert code == 2
+    assert err.startswith("error: [Errno 2] No such file or directory")
+
+
 def test_verify_failing_scenario_exits_3(capsys, tmp_path):
     # untwisted pair with the Tamagawa number 5 at 7 left un-excused
     blob = {
@@ -278,6 +288,7 @@ def test_examples_unknown(capsys):
 @pytest.mark.parametrize("content, message", [
     pytest.param(None, "[Errno 2] No such file or directory", id="missing"),
     pytest.param("x|y\n", "line 1: expected 5 pipe-separated fields", id="malformed"),
+    pytest.param("x|[0,0,0,0,0]|11|0|1\n", "line 1: singular model", id="singular"),
 ])
 def test_examples_bad_dataset_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "curves.dataset"

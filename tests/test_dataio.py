@@ -1,5 +1,5 @@
-import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,12 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from shavis import dataio, fields
 from shavis.curves import WeierstrassModel, minimal_model, quadratic_twist
 from shavis.dataio import (
-    CurveRecord,
     DatasetError,
     RankSources,
-    RemoteClient,
-    RemoteSchemaError,
-    RemoteUnavailableError,
     load_dataset,
     point_add,
     point_mul,
@@ -47,6 +43,26 @@ def test_dataset_validation_errors(tmp_path):
         load_dataset(path)
     path.write_text("")
     assert len(load_dataset(path)) == 0
+    # exact values only: no float a-invariant, no rank below 0, no torsion below 1
+    for row, message in [
+        ("11a1|[0,-1,1,-10.9,-20]|11|0|5", "a-invariants must be a list of integers"),
+        ("11a3|[0,-1,true,0,0]|11|0|5", "a-invariants must be a list of integers"),
+        ("11a1|[0,-1,1,-10,-20]|11|-3|5", "rank must be >= 0, got -3"),
+        ("11a1|[0,-1,1,-10,-20]|11|0|0", "torsion order must be >= 1, got 0"),
+        ("x|[0,0,0,0,0]|11|0|1", "singular model"),
+    ]:
+        path.write_text(good + row + "\n")
+        with pytest.raises(DatasetError, match=rf"line 2: {re.escape(message)}"):
+            load_dataset(path)
+    # one row per label and per minimal model: 11a3 under the label x, then
+    # 11a1 scaled by u = 2, whose minimal model is 11a1's
+    for row, message in [
+        ("x|[0,-1,1,0,0]|11|0|5", "x: repeated label, first given as x"),
+        ("y|[0,-4,8,-160,-1280]|11|1|5", "y: repeated minimal model, first given as 11a1"),
+    ]:
+        path.write_text("11a1|[0,-1,1,-10,-20]|11|0|5\n" + good + row + "\n")
+        with pytest.raises(DatasetError, match=rf"line 3: {re.escape(message)}"):
+            load_dataset(path)
 
 
 def test_group_law_against_known_multiples():
@@ -271,7 +287,7 @@ def test_point_search_respects_dataset_ranks(dataset):
 
 
 def test_rank_over_spec_examples(dataset, e1_52):
-    sources = RankSources(dataset=dataset, search_height=300)
+    sources = RankSources(dataset=dataset)
     # rank over Q from the dataset
     assert rank_over(e1_52, fields.RATIONALS, sources).rank == 0
     # quadratic decomposition: rank(E1/Q(sqrt 59)) = 0 + 0
@@ -294,100 +310,3 @@ def test_rank_over_user_priority(dataset, e1_52):
     ]
     sources = RankSources(dataset=dataset, user_records=user)
     assert rank_over(e1_52, fields.RATIONALS, sources).rank == 7
-
-
-FAKE_PAYLOAD = {
-    "data": [
-        {
-            "lmfdb_label": "364.a1",
-            "ainvs": [0, 0, 0, -584, 5444],
-            "conductor": 364,
-            "rank": 1,
-            "torsion": 1,
-        }
-    ]
-}
-
-
-def test_remote_fetch_cache_contract(tmp_path):
-    calls = []
-
-    def fetcher(url):
-        calls.append(url)
-        return FAKE_PAYLOAD
-
-    client = RemoteClient(base_url="https://db.example/api", cache_dir=tmp_path,
-                          offline=False, fetcher=fetcher)
-    recs = client.fetch(364)
-    assert len(recs) == 1 and recs[0].conductor == 364 and recs[0].source == "remote"
-    assert client.request_count == 1
-    # cache round trip: identical record, zero new requests
-    recs2 = client.fetch(364)
-    assert client.request_count == 1 and len(calls) == 1
-    assert recs2[0] == recs[0]
-
-
-def test_remote_offline_cold_cache(tmp_path):
-    client = RemoteClient(base_url="https://db.example/api", cache_dir=tmp_path,
-                          offline=True)
-    with pytest.raises(RemoteUnavailableError):
-        client.fetch(364)
-
-
-def test_remote_schema_drift(tmp_path):
-    client = RemoteClient(base_url="https://db.example/api", cache_dir=tmp_path,
-                          offline=False, fetcher=lambda url: {"rows": []})
-    with pytest.raises(RemoteSchemaError):
-        client.fetch(11)
-    client2 = RemoteClient(base_url="https://db.example/api", cache_dir=tmp_path / "c2",
-                           offline=False,
-                           fetcher=lambda url: {"data": [{"label": "x"}]})
-    with pytest.raises(RemoteSchemaError):
-        client2.fetch(11)
-
-
-def test_remote_network_failure_falls_back(tmp_path):
-    def failing(url):
-        raise OSError("boom")
-
-    client = RemoteClient(base_url="https://db.example/api", cache_dir=tmp_path,
-                          offline=False, fetcher=failing)
-    with pytest.raises(RemoteUnavailableError):
-        client.fetch(364)
-    # prime the cache with a working fetcher, then fail the network again
-    ok = RemoteClient(base_url="https://db.example/api", cache_dir=tmp_path,
-                      offline=False, fetcher=lambda url: FAKE_PAYLOAD)
-    ok.fetch(364)
-    assert client.fetch(364)[0].conductor == 364  # served from cache
-
-
-def test_default_fetcher_reads_a_json_url(tmp_path):
-    path = tmp_path / "payload.json"
-    path.write_text(json.dumps(FAKE_PAYLOAD))
-    assert dataio._default_fetcher(path.as_uri()) == FAKE_PAYLOAD
-
-
-def test_default_fetcher_failure_is_remote_unavailable(tmp_path):
-    client = RemoteClient(base_url=(tmp_path / "missing").as_uri(),
-                          cache_dir=tmp_path / "cache")
-    with pytest.raises(RemoteUnavailableError):
-        client.fetch(364)
-
-
-def test_curve_record_roundtrip():
-    rec = CurveRecord.from_json(
-        {"label": "a", "ainvs": [0, 0, 0, 1, -10], "conductor": 52, "rank": 0,
-         "torsion_order": 2}
-    )
-    assert CurveRecord.from_json(rec.to_json()) == rec
-
-
-@pytest.mark.skipif(
-    __import__("os").environ.get("SHAVIS_LIVE_TEST", "") != "1",
-    reason="live curve-database integration; set SHAVIS_LIVE_TEST=1 to enable",
-)
-def test_remote_fetch_live(tmp_path):
-    client = RemoteClient(cache_dir=tmp_path, offline=False)
-    recs = client.fetch(364)
-    assert any(rec.model == WeierstrassModel.from_list([0, 0, 0, -584, 5444])
-               for rec in recs)
