@@ -86,6 +86,8 @@ def verify_congruence(
         raise ArithmeticError_(f"unknown mode {mode!r}")
     n_a, locs_a = localdata.conductor(a)
     n_b, locs_b = localdata.conductor(b)
+    a, _ = curves.minimal_model(a)  # once per curve, not once per prime
+    b, _ = curves.minimal_model(b)
     base_bound = congruence_bound(n_a, n_b)
     if bound is None:
         bound = base_bound if mode == BOUNDED_PROOF else max(1000, base_bound)
@@ -100,8 +102,8 @@ def verify_congruence(
             continue
         bad_a, bad_b = q in class_a, q in class_b
         if not bad_a and not bad_b:
-            aq_a = hecke.a_q(a, q).a_q
-            aq_b = hecke.a_q(b, q).a_q
+            aq_a = hecke.a_q_of_minimal(a, q).a_q
+            aq_b = hecke.a_q_of_minimal(b, q).a_q
             ok = (aq_a - aq_b) % p == 0
             comparisons.append({"q": q, "a_q_A": aq_a, "a_q_B": aq_b, "ok": ok})
             checked.append(q)
@@ -118,7 +120,7 @@ def verify_congruence(
         if bad_side.reduction_class not in (localdata.SPLIT_MULT, localdata.NONSPLIT_MULT):
             skipped.append({"q": q, "reason": "additive for one curve"})
             continue
-        aq_good = hecke.a_q(good_model, q).a_q
+        aq_good = hecke.a_q_of_minimal(good_model, q).a_q
         ok = (aq_good - (q + 1)) % p == 0 or (aq_good + (q + 1)) % p == 0
         comparisons.append(
             {"q": q, "a_q_good": aq_good, "rule": "level-lowering +-(q+1)", "ok": ok}
@@ -343,15 +345,15 @@ def irreducible_mod_p(
     if p == 2 or not arith.is_prime(p):
         raise ArithmeticError_(f"need an odd prime, got {p}")
     n, _ = localdata.conductor(model)
+    minimal, _ = curves.minimal_model(model)  # once, not once per prime
     for q in arith.primes(WITNESS_SEARCH_BOUND):
         if (p * n) % q == 0:
             continue
         if not _is_split_in(field, q):
             continue
-        aq = hecke.a_q(model, q).a_q
+        aq = hecke.a_q_of_minimal(minimal, q).a_q
         if frobenius_polynomial_irreducible(aq, q, p):
             return IrreducibilityVerdict("Irreducible", witness_prime=q, witness_aq=aq)
-    minimal, _ = curves.minimal_model(model)
     roots = rational_division_roots(minimal, p)
     if roots:
         x0 = roots[0]

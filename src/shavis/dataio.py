@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -77,6 +78,7 @@ def rank_record_from_json(blob) -> RankRecord:
 
 
 def model_key(model: WeierstrassModel) -> str:
+    """The key of `Dataset.by_model`: the text of the global minimal model."""
     minimal, _ = curves.minimal_model(model)
     return str(minimal)
 
@@ -94,9 +96,10 @@ class Dataset:
     def __len__(self):
         return len(self.records)
 
-    def add(self, rec: CurveRecord) -> None:
-        """Index rec; DatasetError if its label or its minimal model is in already."""
-        key = model_key(rec.model)
+    def add(self, rec: CurveRecord, minimal: WeierstrassModel) -> None:
+        """Index rec, whose global minimal model is `minimal`; DatasetError
+        if its label or its minimal model is in already."""
+        key = str(minimal)
         for index, k, what in ((self.by_label, rec.label, "label"),
                                (self.by_model, key, "minimal model")):
             if k in index:
@@ -110,10 +113,21 @@ class Dataset:
         return self.by_model.get(model_key(model))
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(text: str, what: str) -> int:
+    """An ASCII decimal integer, optionally signed with '-': no '+', '_',
+    blank or non-ASCII digit, all of which int() would take."""
+    if not _DECIMAL.fullmatch(text):
+        raise DatasetError(f"{what} must be a decimal integer, got {text!r}")
+    return int(text)
+
+
 def parse_dataset_line(line: str, lineno: int) -> CurveRecord:
     """One row `label|[a1,a2,a3,a4,a6]|conductor|rank|torsion`: the
-    a-invariants are JSON integers of a nonsingular model, the rank is >= 0
-    and the torsion order >= 1."""
+    a-invariants are JSON integers of a nonsingular model, the other three
+    are decimal integers, the rank is >= 0 and the torsion order >= 1."""
     parts = line.split("|")
     if len(parts) != 5:
         raise DatasetError(f"line {lineno}: expected 5 pipe-separated fields, got {len(parts)}")
@@ -125,7 +139,9 @@ def parse_dataset_line(line: str, lineno: int) -> CurveRecord:
             raise DatasetError(f"a-invariants must be a list of integers, got {ainvs_s}")
         model = WeierstrassModel.from_list(ainvs)
         curves.invariants(model)  # raises SingularCurveError
-        cond, rank, tors = int(cond_s), int(rank_s), int(tors_s)
+        cond = _decimal(cond_s, "conductor")
+        rank = _decimal(rank_s, "rank")
+        tors = _decimal(tors_s, "torsion order")
         if rank < 0:
             raise DatasetError(f"rank must be >= 0, got {rank}")
         if tors < 1:
@@ -140,7 +156,8 @@ def load_dataset(path: str | Path | None = None) -> Dataset:
 
     Every row's conductor is recomputed with Tate's algorithm; a mismatch is
     a hard error since it means the fixture is corrupt. So is a second row
-    with the label or the minimal model of an earlier one.
+    with the label or the minimal model of an earlier one. Each row is
+    minimalized once, for both checks.
     """
     if path is None:
         text = resources.files("shavis").joinpath("data/curves.dataset").read_text()
@@ -154,14 +171,15 @@ def load_dataset(path: str | Path | None = None) -> Dataset:
         if not line or line.startswith("#"):
             continue
         rec = parse_dataset_line(line, lineno)
-        recomputed, _ = localdata.conductor(rec.model)
+        minimal, _ = curves.minimal_model(rec.model)
+        recomputed, _ = localdata.conductor_of_minimal(minimal)
         if recomputed != rec.conductor:
             raise DatasetError(
                 f"{origin} line {lineno}: stated conductor {rec.conductor} of {rec.label} "
                 f"disagrees with recomputed {recomputed}"
             )
         try:
-            dataset.add(rec)
+            dataset.add(rec, minimal)
         except DatasetError as exc:
             raise DatasetError(f"{origin} line {lineno}: {exc}") from exc
     return dataset

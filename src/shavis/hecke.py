@@ -316,9 +316,17 @@ def count_nonsingular_points(model: WeierstrassModel, q: int) -> int:
 
 def a_q(model: WeierstrassModel, q: int) -> ApRecord:
     """The Fourier coefficient a_q, with the counting method recorded."""
+    return a_q_of_minimal(curves.minimal_model(model)[0], q)
+
+
+def a_q_of_minimal(minimal: WeierstrassModel, q: int) -> ApRecord:
+    """a_q of a global minimal model, as `a_q` gives it for any model.
+
+    A sweep over many primes minimalizes its curve once and calls this at
+    each of them; `a_q` is this behind one `minimal_model` call.
+    """
     if not arith.is_prime(q):
         raise ArithmeticError_(f"{q} is not prime")
-    minimal, _ = curves.minimal_model(model)
     if _good_at(minimal, q):
         if q > HARD_LIMIT:
             raise ArithmeticError_(f"point counting capped at q <= {HARD_LIMIT}")
@@ -329,4 +337,6 @@ def a_q(model: WeierstrassModel, q: int) -> ApRecord:
         return ApRecord(q, 1, "bad-prime-rule")
     if local.reduction_class == localdata.NONSPLIT_MULT:
         return ApRecord(q, -1, "bad-prime-rule")
+    if local.reduction_class == localdata.GOOD:
+        raise SoundnessError(f"model {minimal} is not minimal at {q}")
     return ApRecord(q, 0, "bad-prime-rule")

@@ -322,7 +322,11 @@ def tate_algorithm(model: WeierstrassModel, q: int) -> LocalReductionData:
 
 def conductor(model: WeierstrassModel) -> tuple[int, list[LocalReductionData]]:
     """Conductor N = prod q^f over bad primes of the global minimal model."""
-    minimal, _ = curves.minimal_model(model)
+    return conductor_of_minimal(curves.minimal_model(model)[0])
+
+
+def conductor_of_minimal(minimal: WeierstrassModel) -> tuple[int, list[LocalReductionData]]:
+    """`conductor` of a model that is already globally minimal."""
     disc = int(curves.invariants(minimal).disc)
     locals_ = []
     n = 1

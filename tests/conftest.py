@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import shavis
-from shavis import dataio
+from shavis import curves, dataio
 from shavis.curves import WeierstrassModel
 
 
@@ -23,6 +23,20 @@ def e1_52():
 @pytest.fixture(scope="session")
 def e2_364():
     return WeierstrassModel.from_list([0, 0, 0, -584, 5444])
+
+
+@pytest.fixture
+def minimal_model_calls(monkeypatch):
+    """The models handed to curves.minimal_model while the test runs."""
+    calls = []
+    real = curves.minimal_model
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(curves, "minimal_model", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

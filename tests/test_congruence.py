@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shavis import arith, fields
+from shavis import arith, curves, fields, hecke
 from shavis.congruence import (
     congruence_bound,
     division_polynomial,
@@ -166,3 +166,76 @@ def test_nbar_divides_conductor_property():
         m = WeierstrassModel.from_list(ainvs)
         n, _ = conductor(m)
         assert n % mod_p_conductor_semistable(m, p) == 0
+
+
+# the congruent pairs of the bundled scenarios, each with its prime
+BUNDLED_PAIRS = [
+    ([0, 0, 0, 1, -10], [0, 0, 0, -584, 5444], 5),
+    ([0, 1, 0, -30008176, -63229110828], [0, 1, 0, -144, 532], 3),
+    ([0, 1, 0, -5, -13], [0, 1, 0, 56, -588], 3),
+    ([0, -1, 1, 20, -8], [1, 1, 0, -9, 8], 3),
+    ([1, -1, 1, -57, 222], [1, -1, 1, -91, -310], 3),
+]
+# x = u^2 x' + r, y = u^3 y' + u^2 s x' + t: non-minimal, non-integral models
+SHOWN = [
+    curves.Isomorphism(Fraction(1, 2), 1, 1, 1),
+    curves.Isomorphism(3, Fraction(1, 3), -2, Fraction(5, 2)),
+]
+
+
+def test_sweeps_give_the_same_results_on_shown_and_minimal_pairs():
+    # the sweeps minimalize once; the certificate must be the one the
+    # minimal pair gives, with every a_q the one a_q(shown model, q) gives
+    for ainvs_a, ainvs_b, p in BUNDLED_PAIRS:
+        a, b = WeierstrassModel.from_list(ainvs_a), WeierstrassModel.from_list(ainvs_b)
+        min_a, min_b = curves.minimal_model(a)[0], curves.minimal_model(b)[0]
+        reference = verify_congruence(min_a, min_b, p, mode="bounded-proof")
+        witness = irreducible_mod_p(min_a, p)
+        for iso in SHOWN:
+            shown_a, shown_b = curves.transform(a, iso), curves.transform(b, iso)
+            cert = verify_congruence(shown_a, shown_b, p, mode="bounded-proof")
+            assert cert == reference, (ainvs_a, iso)
+            assert cert.to_json("full") == reference.to_json("full")
+            for c in cert.comparisons[:12]:  # the per-prime path the sweep replaced
+                if "a_q_A" in c:
+                    assert c["a_q_A"] == hecke.a_q(shown_a, c["q"]).a_q
+                    assert c["a_q_B"] == hecke.a_q(shown_b, c["q"]).a_q
+            verdict = irreducible_mod_p(shown_a, p)
+            assert verdict == witness, (ainvs_a, iso)
+            assert verdict.witness_aq == hecke.a_q(shown_a, verdict.witness_prime).a_q
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5),
+    st.sampled_from([3, 5, 7]), st.sampled_from(SHOWN),
+)
+def test_sweeps_match_on_random_shown_pairs(a4, a6, b4, b6, p, iso):
+    try:
+        ma = WeierstrassModel.from_list([0, 0, 0, a4, a6])
+        mb = WeierstrassModel.from_list([0, 1, 0, b4, b6])
+        invariants(ma), invariants(mb)
+    except SingularCurveError:
+        assume(False)
+    shown_a, shown_b = curves.transform(ma, iso), curves.transform(mb, iso)
+    min_a, min_b = curves.minimal_model(ma)[0], curves.minimal_model(mb)[0]
+    cert = verify_congruence(shown_a, shown_b, p, bound=40)
+    assert cert == verify_congruence(min_a, min_b, p, bound=40)
+    assert cert.to_json("full") == verify_congruence(ma, mb, p, bound=40).to_json("full")
+    assert irreducible_mod_p(shown_a, p) == irreducible_mod_p(min_a, p)
+
+
+def test_sweeps_minimalize_once_per_curve(minimal_model_calls, e1_52, e2_364):
+    calls = minimal_model_calls
+    cert = verify_congruence(e1_52, e2_364, 5, mode="bounded-proof")
+    assert len(cert.primes_checked) > 20
+    # a bounded number per curve (the conductor, then the sweep's model), not one per prime
+    assert len(calls) <= 4 and set(calls) == {e1_52, e2_364}
+    # 11a1 has rational 5-torsion: no witness, so every prime below the bound is tried
+    e11 = WeierstrassModel.from_list([0, -1, 1, -10, -20])
+    calls.clear()
+    assert irreducible_mod_p(e11, 5).status == "ReducibleDetected"
+    assert calls == [e11, e11]
+    calls.clear()
+    assert irreducible_mod_p(e1_52, 5, fields.quadratic_field(59)).status == "Irreducible"
+    assert calls == [e1_52, e1_52]

@@ -50,6 +50,10 @@ def test_dataset_validation_errors(tmp_path):
         ("11a1|[0,-1,1,-10,-20]|11|-3|5", "rank must be >= 0, got -3"),
         ("11a1|[0,-1,1,-10,-20]|11|0|0", "torsion order must be >= 1, got 0"),
         ("x|[0,0,0,0,0]|11|0|1", "singular model"),
+        # ASCII decimal integers only, though int() takes each of these
+        ("y|[0,-1,1,-10,-20]|1_1|0|5", "conductor must be a decimal integer, got '1_1'"),
+        ("y|[0,-1,1,-10,-20]|11|\u0660|5", "rank must be a decimal integer, got '\u0660'"),
+        ("y|[0,-1,1,-10,-20]|11|0|+5", "torsion order must be a decimal integer, got '+5'"),
     ]:
         path.write_text(good + row + "\n")
         with pytest.raises(DatasetError, match=rf"line 2: {re.escape(message)}"):
@@ -63,6 +67,12 @@ def test_dataset_validation_errors(tmp_path):
         path.write_text("11a1|[0,-1,1,-10,-20]|11|0|5\n" + good + row + "\n")
         with pytest.raises(DatasetError, match=rf"line 3: {re.escape(message)}"):
             load_dataset(path)
+
+
+def test_load_dataset_minimalizes_each_row_once(minimal_model_calls):
+    # one minimal model per row serves both the conductor check and the index
+    ds = load_dataset()
+    assert minimal_model_calls == [rec.model for rec in ds.records]
 
 
 def test_group_law_against_known_multiples():

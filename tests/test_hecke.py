@@ -147,20 +147,51 @@ def test_splitness_coherence_with_a_q(cp):
         assert rec.a_q == expected
 
 
-def test_a_q_minimalizes_once(monkeypatch, e1_52):
-    calls = []
-    real = curves.minimal_model
-
-    def counting(model):
-        calls.append(model)
-        return real(model)
-
-    monkeypatch.setattr(curves, "minimal_model", counting)
+def test_a_q_minimalizes_once(minimal_model_calls, e1_52):
+    calls = minimal_model_calls
     shown = curves.transform(e1_52, curves.Isomorphism(Fraction(1, 2), 1, 1, 1))
     for q, method in ((3, "naive-count"), (10007, "bsgs"), (13, "bad-prime-rule")):
         calls.clear()
         assert a_q(shown, q).method == method
         assert len(calls) == 1, (q, len(calls))
+
+
+@st.composite
+def shown_curve(draw):
+    """A random curve and the same curve in non-minimal, non-integral
+    coordinates: x = u^2 x' + r, y = u^3 y' + u^2 s x' + t."""
+    m = WeierstrassModel.from_list(
+        [draw(st.integers(0, 1)), draw(st.integers(-1, 1)), draw(st.integers(0, 1)),
+         draw(st.integers(-60, 60)), draw(st.integers(-60, 60))]
+    )
+    try:
+        curves.invariants(m)
+    except curves.SingularCurveError:
+        assume(False)
+    frac = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 6]))
+    u = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(2, 5), 2]))
+    iso = curves.Isomorphism(u, draw(frac), draw(frac), draw(frac))
+    return m, curves.transform(m, iso)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shown_curve())
+def test_a_q_of_minimal_matches_a_q(pair):
+    # the shortcut the sweeps take, against the public path, at good and bad primes
+    m, shown = pair
+    minimal, _ = curves.minimal_model(shown)
+    _, locs = localdata.conductor(m)
+    for q in sorted(set(arith.primes(40)) | {l.q for l in locs}):
+        rec = a_q(shown, q)
+        assert rec == hecke.a_q_of_minimal(minimal, q) == a_q(m, q), q
+
+
+def test_a_q_of_minimal_refuses_a_non_minimal_model():
+    # 11a1 scaled by u = 1/2: 2 divides the discriminant, yet 11a1 is good at 2
+    scaled = WeierstrassModel.from_list([0, -4, 8, -160, -1280])
+    assert a_q(scaled, 2) == a_q(WeierstrassModel.from_list([0, -1, 1, -10, -20]), 2)
+    with pytest.raises(arith.SoundnessError, match="not minimal at 2"):
+        hecke.a_q_of_minimal(scaled, 2)
 
 
 def test_hasse_guard_survives_python_O(run_python):

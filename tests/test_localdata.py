@@ -11,6 +11,7 @@ from shavis.localdata import (
     UnsupportedBaseChangeError,
     component_count,
     conductor,
+    conductor_of_minimal,
     is_p_unit_tamagawa,
     tamagawa_over_extension,
     tate_algorithm,
@@ -51,6 +52,20 @@ def test_conductor_handles_nonminimal_input(e1_52):
 
     blown = transform(e1_52, Isomorphism(Fraction(1, 6)))
     assert conductor(blown)[0] == 52
+
+
+def test_conductor_of_minimal_matches_conductor():
+    # the shortcut a caller with a minimal model takes, against the public path
+    from shavis.curves import Isomorphism, transform
+    from fractions import Fraction
+
+    blob = json.loads(
+        resources.files("shavis").joinpath("data/golden_local_data.json").read_text()
+    )
+    for row in blob["curves"]:
+        m = WeierstrassModel.from_list(row["ainvs"])
+        shown = transform(m, Isomorphism(Fraction(1, 3), Fraction(1, 2), 2, -1))
+        assert conductor_of_minimal(minimal_model(shown)[0]) == conductor(shown), row["label"]
 
 
 def test_golden_corpus_matches_fixture():
