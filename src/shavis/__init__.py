@@ -9,14 +9,19 @@ proved; every certificate records the provenance of the ranks it consumed.
 """
 
 from .curves import Isomorphism, WeierstrassModel, invariants, minimal_model, quadratic_twist
-from .localdata import LocalFieldExtension, LocalReductionData, conductor, tate_algorithm
+from .localdata import (
+    LocalFieldExtension,
+    LocalReductionData,
+    conductor,
+    residual_conductor,
+    tate_algorithm,
+)
 from .hecke import ApRecord, a_q, count_points
 from .congruence import (
     CongruenceCertificate,
     IrreducibilityVerdict,
     congruence_bound,
     irreducible_mod_p,
-    mod_p_conductor_semistable,
     verify_congruence,
 )
 from .fields import (

@@ -1,5 +1,4 @@
-"""Mod-p congruence of curve pairs, irreducibility of mod-p torsion, and the
-prime-to-p conductor of the residual representation for semistable curves.
+"""Mod-p congruence of curve pairs and irreducibility of mod-p torsion.
 
 Congruences are evidenced prime-by-prime: a_q(A) = a_q(B) mod p at primes of
 good reduction for both curves up to a Sturm-style bound, with the standard
@@ -313,15 +312,12 @@ class IrreducibilityVerdict:
 
 def _is_split_in(field: fields.NumberFieldDescriptor, q: int) -> bool:
     """Does Frobenius at q land inside Gal(Qbar/field)? (q split/totally split)."""
-    if field.kind == "rationals":
-        return True
-    if field.kind == "quadratic":
-        return arith.kronecker_symbol(field.disc, q) == 1
-    if field.kind == "cyclotomic":
-        return q % field.p == 1
-    raise fields.UnsupportedFieldError(
-        f"irreducibility witness search unsupported over {field.describe()}"
-    )
+    if field.kind == "kummer":
+        raise fields.UnsupportedFieldError(
+            f"irreducibility witness search unsupported over {field.describe()}"
+        )
+    split = fields.splitting_data(field, q)
+    return split.e == split.f == 1
 
 
 def frobenius_polynomial_irreducible(a_q: int, q: int, p: int) -> bool:
@@ -376,28 +372,3 @@ def recheck_witness(model: WeierstrassModel, p: int, verdict: IrreducibilityVerd
     return aq == verdict.witness_aq and frobenius_polynomial_irreducible(
         aq, verdict.witness_prime, p
     )
-
-
-# ---------------------------------------------------------------------------
-# prime-to-p conductor (semistable case)
-
-def mod_p_conductor_semistable(model: WeierstrassModel, p: int) -> int:
-    """Prime-to-p conductor of the mod-p representation, semistable curves only.
-
-    A multiplicative prime q != p stays in the conductor iff p does not
-    divide v_q of the minimal discriminant (Tate curve ramification).
-    """
-    if p == 2 or not arith.is_prime(p):
-        raise ArithmeticError_(f"need an odd prime, got {p}")
-    n, locs = localdata.conductor(model)
-    if n % p == 0:
-        raise ArithmeticError_(f"curve has bad reduction at p = {p}")
-    if any(l.f != 1 for l in locs):
-        raise ArithmeticError_(
-            f"conductor {n} is not squarefree; the semistable rule does not apply"
-        )
-    nbar = 1
-    for l in locs:
-        if l.v_delta % p != 0:
-            nbar *= l.q
-    return nbar

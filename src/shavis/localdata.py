@@ -11,6 +11,7 @@ for ramified base change at additive primes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import arith, curves, fields
@@ -99,62 +100,41 @@ def _quad_has_root(a: int, b: int, c: int, p: int) -> bool:
 
 
 def _cubic_root_count(b: int, c: int, d: int, p: int) -> int:
-    """Number of distinct roots of T^3 + b T^2 + c T + d in F_p."""
+    """Number of distinct roots of T^3 + b T^2 + c T + d in F_p.
+
+    Above 64 the cubic must be separable mod p. By Stickelberger a non-square
+    discriminant means one linear and one irreducible quadratic factor, so
+    one root; otherwise the cubic has three roots if X^p = X modulo it, and
+    none if it is irreducible.
+    """
     if p <= 64:
         return sum(1 for t in range(p) if (t**3 + b * t * t + c * t + d) % p == 0)
-    # gcd(X^p - X, P) via binary exponentiation modulo the cubic
-    mod = (d % p, c % p, b % p, 1)
+    disc = (b * b * c * c - 4 * c**3 - 4 * b**3 * d - 27 * d * d + 18 * b * c * d) % p
+    if disc == 0:
+        raise ArithmeticError_(f"cubic is not separable mod {p}")
+    if pow(disc, (p - 1) // 2, p) != 1:
+        return 1
 
-    def polymul(f, g):
-        out = [0] * (len(f) + len(g) - 1)
-        for i, fi in enumerate(f):
-            if fi:
-                for j, gj in enumerate(g):
-                    out[i + j] = (out[i + j] + fi * gj) % p
-        return out
+    def mulmod(u, v):
+        # product of two polynomials of degree <= 2, reduced by T^3 = -b T^2 - c T - d
+        w = [0] * 5
+        for i, ui in enumerate(u):
+            for j, vj in enumerate(v):
+                w[i + j] += ui * vj
+        for k in (4, 3):
+            top = w[k] % p
+            w[k - 1] -= b * top
+            w[k - 2] -= c * top
+            w[k - 3] -= d * top
+        return [w[0] % p, w[1] % p, w[2] % p]
 
-    def polyrem(f):
-        f = list(f)
-        while len(f) > 3:
-            lead = f[-1]
-            if lead:
-                shift = len(f) - 4
-                for k in range(4):
-                    f[shift + k] = (f[shift + k] - lead * mod[k]) % p
-            f.pop()
-        while f and f[-1] == 0:
-            f.pop()
-        return f or [0]
-
-    # X^p mod P
-    result, base, e = [1], [0, 1], p
+    power, base, e = [1, 0, 0], [0, 1, 0], p
     while e:
         if e & 1:
-            result = polyrem(polymul(result, base))
-        base = polyrem(polymul(base, base))
+            power = mulmod(power, base)
+        base = mulmod(base, base)
         e >>= 1
-    # gcd(X^p - X, P)
-    f = list(result)
-    while len(f) < 2:
-        f.append(0)
-    f[1] = (f[1] - 1) % p
-    g = [x % p for x in mod]
-    a, bb = g, polyrem(f)
-    while bb != [0]:
-        # a mod bb
-        r = list(a)
-        inv_lead = _inv(bb[-1], p)
-        while len(r) >= len(bb) and r != [0]:
-            coef = r[-1] * inv_lead % p
-            shift = len(r) - len(bb)
-            for k in range(len(bb)):
-                r[shift + k] = (r[shift + k] - coef * bb[k]) % p
-            while r and r[-1] == 0:
-                r.pop()
-            if not r:
-                r = [0]
-        a, bb = bb, r
-    return len(a) - 1
+    return 3 if power == [0, 1, 0] else 0
 
 
 def tate_algorithm(model: WeierstrassModel, q: int) -> LocalReductionData:
@@ -430,20 +410,20 @@ class TamagawaVerdict:
 
 
 def is_p_unit_tamagawa(
-    model: WeierstrassModel,
+    local_data: list[LocalReductionData],
     p: int,
     field: fields.NumberFieldDescriptor,
     restrict_to: list[int] | None = None,
 ) -> TamagawaVerdict:
-    """Are the Tamagawa numbers of the model over `field` coprime to p?
+    """Are the Tamagawa numbers over `field` at these bad primes coprime to p?
 
-    Checks every bad prime of the minimal model (or only `restrict_to`).
-    Returns offending primes, plus an inconclusive list where the base-change
-    rules refuse (ramified additive reduction).
+    Checks every entry of the local data (or those at `restrict_to`), as
+    `conductor` returns it. Returns offending primes, plus an inconclusive
+    list where the base-change rules refuse (ramified additive reduction).
     """
     detail: dict[int, dict] = {}
     offending, inconclusive = [], []
-    for local in conductor(model)[1]:
+    for local in local_data:
         q = local.q
         if restrict_to is not None and q not in restrict_to:
             continue
@@ -465,3 +445,25 @@ def is_p_unit_tamagawa(
         inconclusive=inconclusive,
         detail=detail,
     )
+
+
+def residual_conductor(
+    local_data: list[LocalReductionData], p: int
+) -> tuple[int, list[LocalReductionData]]:
+    """Prime-to-p conductor Nbar of the mod-p representation of a semistable
+    curve good at p, and the local data of the primes that drop from N.
+
+    A multiplicative prime q != p drops exactly when p divides v_q of the
+    minimal discriminant (Tate curve ramification).
+    """
+    if p == 2 or not arith.is_prime(p):
+        raise ArithmeticError_(f"need an odd prime, got {p}")
+    if any(l.q == p for l in local_data):
+        raise ArithmeticError_(f"curve has bad reduction at p = {p}")
+    additive = [l.q for l in local_data if l.f != 1]
+    if additive:
+        raise ArithmeticError_(
+            f"additive reduction at {additive}; the semistable rule does not apply"
+        )
+    dropped = [l for l in local_data if l.v_delta % p == 0]
+    return math.prod(l.q for l in local_data if l not in dropped), dropped

@@ -346,7 +346,9 @@ class _Engine:
         else:
             return {"status": INCONCLUSIVE,
                     "note": f"no torsion decomposition over {field.describe()}"}
-        if d is not None:
+        if field == self.s.target:
+            models["A-twist"], models["B-twist"] = self.twisted
+        elif d is not None:
             models["A-twist"] = curves.minimal_model(curves.quadratic_twist(self.a_min, d))[0]
             models["B-twist"] = curves.minimal_model(curves.quadratic_twist(self.b_min, d))[0]
         found = {}
@@ -362,13 +364,15 @@ class _Engine:
             return {"status": FAILS, "rational_p_torsion": found}
         return {"status": HOLDS, "note": f"no rational {p}-torsion on any factor"}
 
-    def tamagawa(self, model_a, model_b, field, restrict=None) -> tuple[str, dict]:
+    def tamagawa(self, locs_a, locs_b, field, restrict=None) -> tuple[str, dict]:
+        """n prime to the Tamagawa numbers over the field, from the local data
+        of the two curves."""
         verdicts = {}
         status = HOLDS
-        for name, m in (("A", model_a), ("B", model_b)):
+        for name, locs in (("A", locs_a), ("B", locs_b)):
             per_prime = {}
             for p in self.s.n_primes:
-                tv = localdata.is_p_unit_tamagawa(m, p, field, restrict_to=restrict)
+                tv = localdata.is_p_unit_tamagawa(locs, p, field, restrict_to=restrict)
                 per_prime[str(p)] = tv.to_json()
                 if tv.offending:
                     status = FAILS
@@ -403,13 +407,13 @@ class _Engine:
         }
 
     def semistable_mod_p(self):
-        """(name, N, local data, Nbar) per curve; Nbar is None when the curve
-        is not semistable or is bad at p, where it is not computed."""
-        p = self.s.n
-        for name, model, n, locs in (("A", self.a_min, self.n_a, self.locs_a),
-                                     ("B", self.b_min, self.n_b, self.locs_b)):
-            ok = n % p != 0 and all(l.f == 1 for l in locs)
-            yield name, n, locs, congruence.mod_p_conductor_semistable(model, p) if ok else None
+        """(name, N, (Nbar, dropped local data)) per curve; the last is None
+        when the curve is not semistable or is bad at p."""
+        for name, n, locs in (("A", self.n_a, self.locs_a), ("B", self.n_b, self.locs_b)):
+            try:
+                yield name, n, localdata.residual_conductor(locs, self.s.n)
+            except ArithmeticError_:
+                yield name, n, None
 
 
 def _uses_search_bound(record) -> bool:
@@ -498,15 +502,15 @@ def _not_semistable() -> dict:
 def _nonsplit_drop(eng: _Engine) -> tuple[str, dict]:
     """nontrivial1 (a): primes dropping from the mod-p conductor must be
     non-split multiplicative over K."""
-    p, field_k = eng.s.n, eng.s.field_k
+    field_k = eng.s.field_k
     detail = {}
     status = HOLDS
-    for name, n, locs, nbar in eng.semistable_mod_p():
-        if nbar is None:
+    for name, n, residual in eng.semistable_mod_p():
+        if residual is None:
             detail[name] = _not_semistable()
             status = INCONCLUSIVE if status == HOLDS else status
             continue
-        dropped = [l for l in locs if l.v_delta % p == 0]
+        nbar, dropped = residual
         entry = {"N": n, "Nbar": nbar, "dropped_primes": [l.q for l in dropped]}
         # split multiplicative stays split; nonsplit becomes split iff the
         # residue degree is even
@@ -528,11 +532,12 @@ def _nonsplit_drop(eng: _Engine) -> tuple[str, dict]:
 def _conductor_equality(eng: _Engine) -> tuple[str, dict]:
     detail = {}
     status = HOLDS
-    for name, n, _, nbar in eng.semistable_mod_p():
-        if nbar is None:
+    for name, n, residual in eng.semistable_mod_p():
+        if residual is None:
             detail[name] = _not_semistable()
             status = INCONCLUSIVE if status == HOLDS else status
             continue
+        nbar = residual[0]
         detail[name] = {"N": n, "Nbar": nbar}
         if nbar != n:
             status = FAILS
@@ -601,28 +606,24 @@ def _lie_layers(eng: _Engine) -> list[HypothesisVerdict]:
     p-units up the tower (unramified stability) or the decomposition group
     has Lie dimension >= 2."""
     p, tower = eng.s.n, eng.s.target
-    base = tower.base
-    locs = {"A": {l.q: l for l in eng.locs_a}, "B": {l.q: l for l in eng.locs_b}}
+    at_base = {name: localdata.is_p_unit_tamagawa(locs, p, tower.base).detail
+               for name, locs in (("A", eng.locs_a), ("B", eng.locs_b))}
     out = []
-    for q in sorted(set(locs["A"]) | set(locs["B"])):
+    for q in sorted(set(at_base["A"]) | set(at_base["B"])):
         entry = {}
         # branch 1: p-unit at the base layer plus unramified stability
         ramified_in_tower = (q == p) or (tower.kind == "false_tate" and tower.m % q == 0)
         units = True
-        for name, by_q in locs.items():
-            if q not in by_q:
+        for name, detail in at_base.items():
+            if q not in detail:
                 entry[name] = {"c": 1, "note": "good reduction"}
-                continue
-            split = fields.splitting_data(base, q)
-            try:
-                c = localdata.tamagawa_over_extension(
-                    by_q[q], localdata.LocalFieldExtension(q, split.e, split.f)
-                )
+            elif "unsupported" in detail[q]:
+                entry[name] = {"unsupported": detail[q]["unsupported"]}
+                units = False
+            else:
+                c = detail[q]["c_over_field"]
                 entry[name] = {"c_over_base": c}
                 units = units and c % p != 0
-            except localdata.UnsupportedBaseChangeError as exc:
-                entry[name] = {"unsupported": str(exc)}
-                units = False
         if units and not ramified_in_tower:
             entry["branch"] = "p-unit Tamagawa at the base, tower unramified at q"
             status = HOLDS
@@ -657,8 +658,8 @@ def verify_lemma_twist(model: WeierstrassModel, d: int, p: int) -> list[Hypothes
     cross-checked against a direct computation on the twisted model."""
     if p == 2 or not arith.is_prime(p):
         raise ArithmeticError_(f"need an odd prime, got {p}")
-    minimal, _ = curves.minimal_model(model)
-    n, locs = localdata.conductor(minimal)
+    facts = curve_facts(model)
+    n, locs = facts.conductor, facts.local_data
     if n % p == 0:
         raise ArithmeticError_(f"curve has bad reduction at p = {p}")
     n_chi = arith.fundamental_discriminant(d)
@@ -666,14 +667,13 @@ def verify_lemma_twist(model: WeierstrassModel, d: int, p: int) -> list[Hypothes
 
     semistable = all(l.f == 1 for l in locs)
     if semistable:
-        nbar = congruence.mod_p_conductor_semistable(minimal, p)
+        nbar, dropped = localdata.residual_conductor(locs, p)
         ratio = n // nbar
         ok_i = math.gcd(nbar, ratio) == 1 and arith.is_squarefree(ratio)
         out.append(HypothesisVerdict(
             "T.i", HOLDS if ok_i else FAILS,
             {"statement": "Nbar coprime to N/Nbar and N/Nbar squarefree",
              "Nbar": nbar, "N_over_Nbar": ratio}))
-        dropped = [l for l in locs if l.v_delta % p == 0]
         bad_ii = []
         for l in dropped:
             nonsplit_in_m = arith.kronecker_symbol(n_chi, l.q) == -1
@@ -702,8 +702,9 @@ def verify_lemma_twist(model: WeierstrassModel, d: int, p: int) -> list[Hypothes
     out.append(parity)
 
     applicable = all(v.status == HOLDS for v in out)
-    twisted = curves.minimal_model(curves.quadratic_twist(minimal, arith.squarefree_part(d)))[0]
-    direct = localdata.is_p_unit_tamagawa(twisted, p, fields.RATIONALS)
+    twisted = curves.minimal_model(
+        curves.quadratic_twist(facts.minimal, arith.squarefree_part(d)))[0]
+    direct = localdata.is_p_unit_tamagawa(localdata.conductor(twisted)[1], p, fields.RATIONALS)
     consistent = (not applicable) or direct.all_coprime
     out.append(HypothesisVerdict(
         "T.conclusion",
@@ -802,7 +803,7 @@ THEOREMS = {
         hypotheses=(
             *_ASSUMPTIONS,
             _TORSION_OVER_K,
-            ("I.tamagawa", lambda e: e.tamagawa(e.a_min, e.b_min, e.s.field_k)),
+            ("I.tamagawa", lambda e: e.tamagawa(e.locs_a, e.locs_b, e.s.field_k)),
         ),
         conclude=_conclude_improv,
     ),
@@ -815,7 +816,8 @@ THEOREMS = {
             *_ASSUMPTIONS,
             ("A.d", _inherits_q_i),
             ("Q.i", lambda e: e.torsion_vanishes(e.s.target)),
-            ("Q.ii", lambda e: e.tamagawa(*e.twisted, e.s.field_k)),
+            ("Q.ii", lambda e: e.tamagawa(*(localdata.conductor(m)[1] for m in e.twisted),
+                                          e.s.field_k)),
             ("Q.iii", _degree_two_coprime),
         ),
         conclude=_conclude_quadratic,
@@ -839,7 +841,7 @@ THEOREMS = {
             *_ASSUMPTIONS,
             _TORSION_OVER_K,
             ("E.i", _kummer_ramification),
-            ("E.ii", lambda e: e.tamagawa(e.a_min, e.b_min, e.s.field_k,
+            ("E.ii", lambda e: e.tamagawa(e.locs_a, e.locs_b, e.s.field_k,
                                           restrict=sorted(l.q for l in e.locs_a))),
         ),
         conclude=_conclude_exten,

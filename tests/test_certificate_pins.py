@@ -7,6 +7,7 @@ writes it. A change that moves any byte of any of these certificates fails
 here; the bundled digests are the ones perfbench/reference.json records.
 """
 
+import functools
 import hashlib
 import json
 from dataclasses import replace
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from shavis import fields, localdata
 from shavis.scenario import BUNDLED_SCENARIOS, load_bundled_scenario, scenario_from_dict
 from shavis.visibility import verify_scenario
 
@@ -78,11 +80,19 @@ def _digest(cert) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _path_scenario(name):
+def _scenario(name):
+    if name in BUNDLED_DIGESTS:
+        return load_bundled_scenario(name)
     if name == "exten-partial":
         s = load_bundled_scenario("ex_176_kummer7")
         return replace(s, rank_records=(), user_assertions=())
     return scenario_from_dict(PATH_SCENARIOS[name])
+
+
+@pytest.fixture(scope="module")
+def certificate(dataset):
+    """The certificate of a pinned scenario, computed once per module."""
+    return functools.cache(lambda name: verify_scenario(_scenario(name), dataset))
 
 
 def test_bundled_digests_match_the_benchmark_reference():
@@ -92,10 +102,30 @@ def test_bundled_digests_match_the_benchmark_reference():
 
 
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
-def test_bundled_certificate_bytes(dataset, name):
-    assert _digest(verify_scenario(load_bundled_scenario(name), dataset)) == BUNDLED_DIGESTS[name]
+def test_bundled_certificate_bytes(certificate, name):
+    assert _digest(certificate(name)) == BUNDLED_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(PATH_DIGESTS))
-def test_theorem_path_certificate_bytes(dataset, name):
-    assert _digest(verify_scenario(_path_scenario(name), dataset)) == PATH_DIGESTS[name]
+def test_theorem_path_certificate_bytes(certificate, name):
+    assert _digest(certificate(name)) == PATH_DIGESTS[name]
+
+
+TAMAGAWA_IDS = ("I.tamagawa", "Q.ii", "E.ii")
+
+
+@pytest.mark.parametrize("name", [*BUNDLED_DIGESTS, *sorted(PATH_DIGESTS)])
+def test_tamagawa_verdicts_rederive_from_their_evidence(certificate, name):
+    # every Tamagawa verdict is re-derived by the pure rule from the local
+    # data the certificate itself records, without the engine
+    cert = certificate(name).to_json()
+    field_k = fields.field_from_json(cert["scenario"]["field_k"])
+    verdicts = [v for v in cert["verdicts"] if v["id"] in TAMAGAWA_IDS]
+    for v in verdicts:
+        for per_prime in v["evidence"]["curves"].values():
+            for p, recorded in per_prime.items():
+                local = [localdata.LocalReductionData.from_json(entry["local"])
+                         for entry in recorded["detail"].values()]
+                rederived = localdata.is_p_unit_tamagawa(local, int(p), field_k)
+                assert rederived.to_json() == recorded, (v["id"], p)
+    assert len(verdicts) == (cert["theorem"] in ("improv", "quadratic", "exten"))

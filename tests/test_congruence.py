@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,12 @@ from shavis.congruence import (
     division_polynomial,
     has_rational_point_with_x,
     irreducible_mod_p,
-    mod_p_conductor_semistable,
     rational_division_roots,
     recheck_witness,
     verify_congruence,
 )
 from shavis.curves import SingularCurveError, WeierstrassModel, invariants, quadratic_twist
+from shavis.localdata import conductor, residual_conductor
 
 
 def mu_oracle(n):
@@ -141,31 +142,37 @@ def test_irreducibility_with_witness(e1_52):
         irreducible_mod_p(e1_52, 5, fields.kummer_layer(5, 7))
 
 
+def _residual(ainvs, p):
+    return residual_conductor(conductor(WeierstrassModel.from_list(ainvs))[1], p)
+
+
 def test_mod_p_conductor_spec_examples():
-    e11a1 = WeierstrassModel.from_list([0, -1, 1, -10, -20])
-    # disc = -11^5, so 11 drops at p = 5
-    assert mod_p_conductor_semistable(e11a1, 5) == 1
-    a493 = WeierstrassModel.from_list([1, -1, 1, -57, 222])
-    assert mod_p_conductor_semistable(a493, 3) == 17
+    # disc(11a1) = -11^5, so 11 drops at p = 5
+    nbar, dropped = _residual([0, -1, 1, -10, -20], 5)
+    assert nbar == 1 and [l.q for l in dropped] == [11]
+    nbar, dropped = _residual([1, -1, 1, -57, 222], 3)
+    assert nbar == 17 and [l.q for l in dropped] == [29]
     # nothing drops when p divides no v_q(disc)
-    e37 = WeierstrassModel.from_list([0, 0, 1, -1, 0])
-    assert mod_p_conductor_semistable(e37, 5) == 37
+    assert _residual([0, 0, 1, -1, 0], 5) == (37, [])
     # non-semistable input rejected
-    with pytest.raises(arith.ArithmeticError_):
-        mod_p_conductor_semistable(WeierstrassModel.from_list([0, 0, 0, 1, -10]), 5)
+    with pytest.raises(arith.ArithmeticError_, match="additive reduction at"):
+        _residual([0, 0, 0, 1, -10], 5)
     # bad reduction at p rejected
-    with pytest.raises(arith.ArithmeticError_):
-        mod_p_conductor_semistable(e11a1, 11)
+    with pytest.raises(arith.ArithmeticError_, match="bad reduction at p = 11"):
+        _residual([0, -1, 1, -10, -20], 11)
+    # p must be an odd prime
+    for p in (2, 9):
+        with pytest.raises(arith.ArithmeticError_, match="odd prime"):
+            _residual([0, 0, 1, -1, 0], p)
 
 
 def test_nbar_divides_conductor_property():
-    from shavis.localdata import conductor
-
     for ainvs, p in [([0, -1, 1, -10, -20], 5), ([1, -1, 1, -57, 222], 3),
                      ([0, -1, 1, 20, -8], 3), ([1, 1, 0, -9, 8], 3)]:
-        m = WeierstrassModel.from_list(ainvs)
-        n, _ = conductor(m)
-        assert n % mod_p_conductor_semistable(m, p) == 0
+        n, locs = conductor(WeierstrassModel.from_list(ainvs))
+        nbar, dropped = residual_conductor(locs, p)
+        assert n == nbar * math.prod(l.q for l in dropped)
+        assert all(l.v_delta % p == 0 for l in dropped)
 
 
 # the congruent pairs of the bundled scenarios, each with its prime

@@ -2,10 +2,12 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from shavis import arith, fields
 from shavis.curves import WeierstrassModel, minimal_model, quadratic_twist
 from shavis.localdata import (
+    _cubic_root_count,
     LocalFieldExtension,
     LocalReductionData,
     UnsupportedBaseChangeError,
@@ -99,6 +101,31 @@ def test_structural_invariants_rejected():
         LocalReductionData(2, "II", 2, 5, 4, "additive")
 
 
+PRIMES_ABOVE_64 = [q for q in range(65, 700) if arith.is_prime(q)]
+COEFF = st.integers(-10**6, 10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PRIMES_ABOVE_64), COEFF, COEFF, COEFF)
+def test_cubic_root_count_above_64_matches_brute_force(p, b, c, d):
+    # Tate's algorithm counts the roots of a separable cubic at I0*; above 64
+    # it reads the discriminant's square class and X^p mod the cubic
+    disc = b * b * c * c - 4 * c**3 - 4 * b**3 * d - 27 * d * d + 18 * b * c * d
+    assume(disc % p != 0)
+    brute = sum(1 for t in range(p) if (t**3 + b * t * t + c * t + d) % p == 0)
+    assert _cubic_root_count(b, c, d, p) == brute
+
+
+def test_cubic_root_count_above_64_hits_every_count():
+    # at 67: T^3 - T splits, T^3 - T - 1 has non-square discriminant (one
+    # root), and T^3 - 2 is irreducible (square discriminant, 2 not a cube)
+    assert _cubic_root_count(0, -1, 0, 67) == 3
+    assert _cubic_root_count(0, -1, -1, 67) == 1
+    assert _cubic_root_count(0, 0, -2, 67) == 0
+    with pytest.raises(arith.ArithmeticError_):
+        _cubic_root_count(0, 0, 0, 67)  # T^3 is not separable
+
+
 def test_tamagawa_base_change_rules():
     good = LocalReductionData(5, "I0", 0, 1, 0, "good")
     assert tamagawa_over_extension(good, LocalFieldExtension(5, 3, 2)) == 1
@@ -136,14 +163,14 @@ def test_trivial_extension_matches_tate(e2_364):
 
 
 def test_is_p_unit_tamagawa_spec_examples(e1_52, e2_364):
-    v1 = is_p_unit_tamagawa(e1_52, 5, fields.RATIONALS)
+    v1 = is_p_unit_tamagawa(conductor(e1_52)[1], 5, fields.RATIONALS)
     assert v1.all_coprime
-    v2 = is_p_unit_tamagawa(e2_364, 5, fields.RATIONALS)
+    v2 = is_p_unit_tamagawa(conductor(e2_364)[1], 5, fields.RATIONALS)
     assert not v2.all_coprime and v2.offending == [7]
     # 176 curve over Q(mu_3) at p = 3: all units
     e176 = WeierstrassModel.from_list([0, 1, 0, -5, -13])
-    v3 = is_p_unit_tamagawa(e176, 3, fields.cyclotomic_field(3))
+    v3 = is_p_unit_tamagawa(conductor(e176)[1], 3, fields.cyclotomic_field(3))
     assert v3.all_coprime, v3.to_json()
     # and at the twisted pair of the quadratic example
     for m in (quadratic_twist(e1_52, 59), quadratic_twist(e2_364, 59)):
-        assert is_p_unit_tamagawa(m, 5, fields.RATIONALS).all_coprime
+        assert is_p_unit_tamagawa(conductor(m)[1], 5, fields.RATIONALS).all_coprime
