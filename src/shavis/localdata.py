@@ -391,6 +391,12 @@ def tamagawa_over_extension(local: LocalReductionData, ext: LocalFieldExtension)
     return 4 if f % 2 == 0 else 2
 
 
+def extension_at(field: fields.NumberFieldDescriptor, q: int) -> LocalFieldExtension:
+    """The completion of `field` at a prime above q, for `tamagawa_over_extension`."""
+    split = fields.splitting_data(field, q)
+    return LocalFieldExtension(q, split.e, split.f)
+
+
 @dataclass(frozen=True)
 class TamagawaVerdict:
     """Outcome of the p-unit Tamagawa check over a field."""
@@ -427,9 +433,8 @@ def is_p_unit_tamagawa(
         q = local.q
         if restrict_to is not None and q not in restrict_to:
             continue
-        split = fields.splitting_data(field, q)
-        ext = LocalFieldExtension(q, split.e, split.f)
-        entry = {"local": local.to_json(), "e": split.e, "f": split.f}
+        ext = extension_at(field, q)
+        entry = {"local": local.to_json(), "e": ext.e, "f": ext.f}
         try:
             c_ext = tamagawa_over_extension(local, ext)
             entry["c_over_field"] = c_ext

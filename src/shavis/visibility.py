@@ -346,9 +346,7 @@ class _Engine:
         else:
             return {"status": INCONCLUSIVE,
                     "note": f"no torsion decomposition over {field.describe()}"}
-        if field == self.s.target:
-            models["A-twist"], models["B-twist"] = self.twisted
-        elif d is not None:
+        if d is not None:
             models["A-twist"] = curves.minimal_model(curves.quadratic_twist(self.a_min, d))[0]
             models["B-twist"] = curves.minimal_model(curves.quadratic_twist(self.b_min, d))[0]
         found = {}
@@ -606,24 +604,25 @@ def _lie_layers(eng: _Engine) -> list[HypothesisVerdict]:
     p-units up the tower (unramified stability) or the decomposition group
     has Lie dimension >= 2."""
     p, tower = eng.s.n, eng.s.target
-    at_base = {name: localdata.is_p_unit_tamagawa(locs, p, tower.base).detail
-               for name, locs in (("A", eng.locs_a), ("B", eng.locs_b))}
+    locs = {"A": {l.q: l for l in eng.locs_a}, "B": {l.q: l for l in eng.locs_b}}
     out = []
-    for q in sorted(set(at_base["A"]) | set(at_base["B"])):
+    for q in sorted(set(locs["A"]) | set(locs["B"])):
         entry = {}
         # branch 1: p-unit at the base layer plus unramified stability
         ramified_in_tower = (q == p) or (tower.kind == "false_tate" and tower.m % q == 0)
         units = True
-        for name, detail in at_base.items():
-            if q not in detail:
+        for name, by_q in locs.items():
+            if q not in by_q:
                 entry[name] = {"c": 1, "note": "good reduction"}
-            elif "unsupported" in detail[q]:
-                entry[name] = {"unsupported": detail[q]["unsupported"]}
-                units = False
-            else:
-                c = detail[q]["c_over_field"]
+                continue
+            try:
+                c = localdata.tamagawa_over_extension(
+                    by_q[q], localdata.extension_at(tower.base, q))
                 entry[name] = {"c_over_base": c}
                 units = units and c % p != 0
+            except localdata.UnsupportedBaseChangeError as exc:
+                entry[name] = {"unsupported": str(exc)}
+                units = False
         if units and not ramified_in_tower:
             entry["branch"] = "p-unit Tamagawa at the base, tower unramified at q"
             status = HOLDS

@@ -14,6 +14,7 @@ from shavis.localdata import (
     component_count,
     conductor,
     conductor_of_minimal,
+    extension_at,
     is_p_unit_tamagawa,
     tamagawa_over_extension,
     tate_algorithm,
@@ -160,6 +161,12 @@ def test_trivial_extension_matches_tate(e2_364):
     for q in (2, 7, 13):
         local = tate_algorithm(e2_364, q)
         assert tamagawa_over_extension(local, LocalFieldExtension(q, 1, 1)) == local.c
+
+
+def test_extension_at_reads_the_splitting_data():
+    assert extension_at(fields.quadratic_field(59), 59) == LocalFieldExtension(59, 2, 1)
+    assert extension_at(fields.cyclotomic_field(7), 2) == LocalFieldExtension(2, 1, 3)
+    assert extension_at(fields.RATIONALS, 13) == LocalFieldExtension(13, 1, 1)
 
 
 def test_is_p_unit_tamagawa_spec_examples(e1_52, e2_364):

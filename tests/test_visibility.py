@@ -397,22 +397,3 @@ def test_editing_certificate_json_leaves_the_memo(dataset):
     _Engine(scn, dataset).locs_a.clear()
     assert _Engine(scn, dataset).locs_a == list(curve_facts(scn.curve_a).local_data) != []
 
-
-def test_torsion_search_over_the_target_reuses_the_twists(dataset, monkeypatch):
-    # over the quadratic target, the fallback takes the engine's twisted pair;
-    # an improv engine over the same field builds its own twists and must agree
-    from dataclasses import replace
-
-    from shavis import curves
-
-    quad = load_bundled_scenario("ex1_quadratic_59")
-    improv = replace(quad, theorem="improv", field_k=quad.target, target=None)
-    expected = _Engine(improv, dataset)._torsion_search(quad.target, 5)
-    eng = _Engine(quad, dataset)
-    assert eng.twisted
-
-    def no_twist(*args):
-        raise AssertionError("the twists over the target were built again")
-
-    monkeypatch.setattr(curves, "quadratic_twist", no_twist)
-    assert eng._torsion_search(quad.target, 5) == expected
