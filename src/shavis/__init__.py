@@ -16,7 +16,7 @@ from .localdata import (
     residual_conductor,
     tate_algorithm,
 )
-from .hecke import ApRecord, a_q, count_points
+from .hecke import ApRecord, a_q
 from .congruence import (
     CongruenceCertificate,
     IrreducibilityVerdict,
@@ -39,7 +39,6 @@ from .visibility import (
     HypothesisVerdict,
     VisibilityCertificate,
     VisibilityScenario,
-    verify_lemma_twist,
     verify_scenario,
 )
 from .scenario import load_bundled_scenario, load_scenario, scenario_from_dict

@@ -23,10 +23,17 @@ BOUNDED_PROOF = "bounded-proof"
 WITNESS_SEARCH_BOUND = 1000  # irreducibility witnesses: primes below this
 SMALL_ROOT_SCAN = 200  # division-polynomial roots tried first: |x| <= this
 DIVISOR_LIMIT = 100_000  # rational-root candidates: give up past this many divisors
+ISOGENY_PRIMES = frozenset({3, 5, 7, 11, 13, 17, 19, 37, 43, 67, 163})  # odd, Mazur 1978
 
 
 def congruence_bound(n_a: int, n_b: int) -> int:
-    """Sturm-style bound floor(mu(N)/6) with N = lcm(N_A, N_B)."""
+    """Sturm-style bound floor(mu(N)/6) with N = lcm(N_A, N_B).
+
+    Bounded-proof mode rests on Kraus-Oesterle (Math. Ann. 293, 1992,
+    Prop. 4). Their level M also carries the bad primes (where one curve is
+    good, a_q is compared with +-(q+1)), so M > N and their mu(M)/6 is
+    larger: this bound can stop short of theirs.
+    """
     if n_a < 1 or n_b < 1:
         raise ArithmeticError_("conductors must be positive")
     n = arith.lcm(n_a, n_b) or 1
@@ -235,7 +242,13 @@ def rational_division_roots(model: WeierstrassModel, p: int) -> list:
     constant term, denominator divides the leading coefficient); a direct
     small-integer scan runs first so a failed factorization of a huge
     constant term can only lose exotic candidates, never invent roots.
+
+    A rational root gives P with sigma(P) = +-P for every sigma, so <P> is
+    a rational p-isogeny: none exists (Mazur, Invent. Math. 44, 1978) for p
+    outside ISOGENY_PRIMES, whose polynomial of degree (p^2-1)/2 is skipped.
     """
+    if p not in ISOGENY_PRIMES:
+        return []
     from fractions import Fraction
 
     coeffs = division_polynomial(model, p)

@@ -84,13 +84,12 @@ def model_key(model: WeierstrassModel) -> str:
 
 
 class Dataset:
-    """In-memory curve table indexed by label, by conductor and by minimal
-    model, with one row per label and per minimal model."""
+    """In-memory curve table indexed by label and by minimal model, with one
+    row per label and per minimal model."""
 
     def __init__(self):
         self.records: list[CurveRecord] = []
         self.by_label: dict[str, CurveRecord] = {}
-        self.by_conductor: dict[int, list[CurveRecord]] = {}
         self.by_model: dict[str, CurveRecord] = {}
 
     def __len__(self):
@@ -107,7 +106,6 @@ class Dataset:
         self.records.append(rec)
         self.by_label[rec.label] = rec
         self.by_model[key] = rec
-        self.by_conductor.setdefault(rec.conductor, []).append(rec)
 
     def lookup_model(self, model: WeierstrassModel) -> CurveRecord | None:
         return self.by_model.get(model_key(model))

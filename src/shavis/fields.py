@@ -181,11 +181,12 @@ def tower_from_json(blob) -> TowerDescriptor:
 
 
 def _mult_order(q: int, p: int) -> int:
-    """Multiplicative order of q modulo the prime p."""
-    f, acc = 1, q % p
-    while acc != 1:
-        acc = acc * q % p
-        f += 1
+    """Multiplicative order of q modulo the prime p, a divisor of p - 1:
+    take each prime r out of p - 1 while q^((p-1)/r) is still 1."""
+    f = p - 1
+    for r in arith.prime_divisors(p - 1):
+        while f % r == 0 and pow(q, f // r, p) == 1:
+            f //= r
     return f
 
 

@@ -24,10 +24,6 @@ HARD_LIMIT = 10_000_000
 TORSION_MAX_ORDER = 12  # Mazur bound over Q
 
 
-class BadReductionError(ValueError):
-    """Point count requested at a prime of bad reduction."""
-
-
 @dataclass(frozen=True)
 class ApRecord:
     q: int
@@ -41,22 +37,6 @@ class ApRecord:
 
 def _good_at(minimal: WeierstrassModel, q: int) -> bool:
     return int(curves.invariants(minimal).disc) % q != 0
-
-
-def has_good_reduction(model: WeierstrassModel, q: int) -> bool:
-    return _good_at(curves.minimal_model(model)[0], q)
-
-
-def count_points(model: WeierstrassModel, q: int) -> int:
-    """#E(F_q) including the point at infinity; requires good reduction."""
-    if not arith.is_prime(q):
-        raise ArithmeticError_(f"{q} is not prime")
-    if q > HARD_LIMIT:
-        raise ArithmeticError_(f"point counting capped at q <= {HARD_LIMIT}")
-    minimal, _ = curves.minimal_model(model)
-    if not _good_at(minimal, q):
-        raise BadReductionError(f"bad reduction at {q}; use the bad-prime rule")
-    return _count(minimal, q)
 
 
 def _count(minimal: WeierstrassModel, q: int) -> int:

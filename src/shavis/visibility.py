@@ -20,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import arith, congruence, curves, dataio, fields, localdata
-from .arith import ArithmeticError_, SoundnessError
+from .arith import ArithmeticError_
 from .curves import WeierstrassModel
 
 HOLDS = "holds"
@@ -650,75 +650,6 @@ def _conclude_lie(eng: _Engine):
                        "(user-assertable, not computed)",
     }
     return conclusion, ()
-
-
-def verify_lemma_twist(model: WeierstrassModel, d: int, p: int) -> list[HypothesisVerdict]:
-    """Conditions under which every Tamagawa number of the twist is a p-unit,
-    cross-checked against a direct computation on the twisted model."""
-    if p == 2 or not arith.is_prime(p):
-        raise ArithmeticError_(f"need an odd prime, got {p}")
-    facts = curve_facts(model)
-    n, locs = facts.conductor, facts.local_data
-    if n % p == 0:
-        raise ArithmeticError_(f"curve has bad reduction at p = {p}")
-    n_chi = arith.fundamental_discriminant(d)
-    out = []
-
-    semistable = all(l.f == 1 for l in locs)
-    if semistable:
-        nbar, dropped = localdata.residual_conductor(locs, p)
-        ratio = n // nbar
-        ok_i = math.gcd(nbar, ratio) == 1 and arith.is_squarefree(ratio)
-        out.append(HypothesisVerdict(
-            "T.i", HOLDS if ok_i else FAILS,
-            {"statement": "Nbar coprime to N/Nbar and N/Nbar squarefree",
-             "Nbar": nbar, "N_over_Nbar": ratio}))
-        bad_ii = []
-        for l in dropped:
-            nonsplit_in_m = arith.kronecker_symbol(n_chi, l.q) == -1
-            if nonsplit_in_m != (l.reduction_class == localdata.SPLIT_MULT):
-                bad_ii.append(l.q)
-        out.append(HypothesisVerdict(
-            "T.ii", HOLDS if not bad_ii else FAILS,
-            {"statement": "q | N/Nbar non-split in M iff A split multiplicative at q",
-             "dropped": [l.q for l in dropped], "violations": bad_ii}))
-    else:
-        out.append(HypothesisVerdict(
-            "T.i", INCONCLUSIVE,
-            {"statement": "Nbar computation needs a semistable curve", "N": n}))
-        out.append(HypothesisVerdict("T.ii", INCONCLUSIVE, {"inherited": "T.i"}))
-
-    g = math.gcd(n_chi, p * n)
-    out.append(HypothesisVerdict(
-        "T.iii", HOLDS if g == 1 else FAILS,
-        {"statement": "N_chi coprime to p*N_A", "N_chi": n_chi, "gcd": g}))
-    if p > 3:
-        parity = HypothesisVerdict("T.parity", HOLDS, {"statement": "p > 3"})
-    else:
-        parity = HypothesisVerdict(
-            "T.parity", HOLDS if n_chi % 2 == 1 else FAILS,
-            {"statement": "p = 3 requires odd N_chi", "N_chi": n_chi})
-    out.append(parity)
-
-    applicable = all(v.status == HOLDS for v in out)
-    twisted = curves.minimal_model(
-        curves.quadratic_twist(facts.minimal, arith.squarefree_part(d)))[0]
-    direct = localdata.is_p_unit_tamagawa(localdata.conductor(twisted)[1], p, fields.RATIONALS)
-    consistent = (not applicable) or direct.all_coprime
-    out.append(HypothesisVerdict(
-        "T.conclusion",
-        HOLDS if (applicable and direct.all_coprime) else
-        (INCONCLUSIVE if not applicable else FAILS),
-        {"statement": f"all Tamagawa numbers of the twist are {p}-adic units",
-         "lemma_applicable": applicable,
-         "direct_check": direct.to_json(),
-         "consistent": consistent}))
-    if applicable and not direct.all_coprime:
-        raise SoundnessError(
-            f"lemma hypotheses hold but direct Tamagawa check fails for twist by {d}: "
-            f"{direct.to_json()}"
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

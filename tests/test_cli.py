@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import shavis
 from shavis import localdata
 from shavis.cli import main
 from shavis.scenario import bundled_scenario_path
@@ -246,6 +250,23 @@ def test_verify_improv_over_cyclotomic_without_ranks(capsys, tmp_path):
     cert = json.loads(out[: out.rindex("}") + 1])
     assert code == {"partial": 4, "failed": 3}[cert["overall"]]
     assert cert["conclusion"]["statement"].startswith("rank records missing")
+
+
+@pytest.mark.parametrize("p", [100003, 1000000007])
+def test_verify_improv_over_large_cyclotomic_finishes(tmp_path, p):
+    # no prime below the witness bound splits in Q(mu_p), so the search
+    # falls back to the p-division polynomial, of degree (p^2 - 1)/2; at
+    # the larger p a residue-degree loop of p steps hangs too. A subprocess,
+    # so a hang fails the test instead of stalling the suite
+    blob = json.loads(bundled_scenario_path("ex_493_17_quadratic_195").read_text())
+    del blob["target"]
+    blob.update(name="improv-large-p", theorem="improv", p=p,
+                field_k={"kind": "cyclotomic", "p": p})
+    src = str(Path(shavis.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "shavis.cli", "verify", _write(tmp_path, blob)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=30)
+    assert done.returncode in (3, 4), done.stderr
 
 
 def test_verify_partial_exits_4(capsys, tmp_path):

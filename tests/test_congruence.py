@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shavis import arith, curves, fields, hecke
+from shavis import arith, congruence, curves, fields, hecke
 from shavis.congruence import (
     congruence_bound,
     division_polynomial,
@@ -126,6 +126,18 @@ def test_rational_five_torsion_detected():
     m2 = WeierstrassModel.from_list([0, -1, 1, -10, -20])
     assert Fraction(5) in rational_division_roots(m2, 5)
     assert has_rational_point_with_x(m2, Fraction(5))
+
+
+def test_no_rational_division_root_outside_the_isogeny_primes(monkeypatch):
+    # Mazur: no rational p-isogeny for p = 23, so no polynomial is built
+    def refuse(model, n):
+        raise AssertionError(f"built the {n}-division polynomial")
+
+    monkeypatch.setattr(congruence, "division_polynomial", refuse)
+    m = WeierstrassModel.from_list([0, -1, 1, 0, 0])
+    assert rational_division_roots(m, 23) == []
+    with pytest.raises(AssertionError):
+        rational_division_roots(m, 5)
 
 
 def test_irreducibility_with_witness(e1_52):

@@ -64,6 +64,26 @@ def test_splitting_data_cyclotomic_cases():
     assert splitting_data(f, 2).g == 2
 
 
+def test_cyclotomic_residue_degree_is_the_multiplicative_order():
+    # f in Q(mu_p) is the order of q mod p; the reference is the plain loop
+    def order_by_loop(q, p):
+        f, acc = 1, q % p
+        while acc != 1:
+            acc = acc * q % p
+            f += 1
+        return f
+
+    for p in list(arith.primes(400))[1:]:
+        field = cyclotomic_field(p)
+        for q in arith.primes(600):
+            if q != p:
+                s = splitting_data(field, q)
+                assert (s.f, s.g) == (order_by_loop(q, p), (p - 1) // s.f), (p, q)
+    # p - 1 = 2 * 500000003: two pow calls per prime factor, not p loop steps
+    s = splitting_data(cyclotomic_field(1_000_000_007), 2)
+    assert s.f * s.g == 1_000_000_006 and pow(2, s.f, 1_000_000_007) == 1
+
+
 def test_kummer_layer_residue_growth():
     f = kummer_layer(3, 7)
     # q = 2: inert in Q(mu_3) (order of 2 mod 3 is 2); is 7 a cube in F_4?

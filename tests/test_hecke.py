@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from shavis import arith, curves, hecke, localdata
 from shavis.curves import WeierstrassModel
-from shavis.hecke import BadReductionError, a_q, count_nonsingular_points, count_points
+from shavis.hecke import a_q, count_nonsingular_points
 
 
 def test_count_points_spec_examples():
@@ -17,24 +17,21 @@ def test_count_points_spec_examples():
             if (y * y + y - x**3 - x * x) % 2 == 0:
                 affine += 1
     assert affine == 4
-    assert count_points(m, 2) == 5
+    assert 2 + 1 - a_q(m, 2).a_q == 5
     # y^2 = x^3 + x over F_3: supersingular, a_3 = 0
     ss = WeierstrassModel.from_list([0, 0, 0, 1, 0])
     affine3 = sum(
         1 for x in range(3) for y in range(3) if (y * y - x**3 - x) % 3 == 0
     )
     assert affine3 + 1 == 4
-    assert count_points(ss, 3) == 4
-    assert a_q(ss, 3).a_q == 0
+    assert 3 + 1 - a_q(ss, 3).a_q == 4
 
 
-def test_count_points_errors(e1_52):
-    with pytest.raises(BadReductionError):
-        count_points(e1_52, 13)
-    with pytest.raises(arith.ArithmeticError_):
-        count_points(e1_52, 15)
-    with pytest.raises(arith.ArithmeticError_):
-        count_points(e1_52, 10_000_019 * 2 + 1)  # beyond the hard cap
+def test_a_q_errors(e1_52):
+    with pytest.raises(arith.ArithmeticError_, match="not prime"):
+        a_q(e1_52, 15)
+    with pytest.raises(arith.ArithmeticError_, match="capped"):
+        a_q(e1_52, 10_000_019)  # a good prime beyond the hard cap
 
 
 def test_known_eigenform_coefficients():
@@ -107,7 +104,7 @@ def curve_and_prime(draw):
     except Exception:
         assume(False)
     q = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 101, 257, 997]))
-    assume(hecke.has_good_reduction(m, q))
+    assume(curves.minimal_discriminant(m) % q != 0)
     return m, q
 
 
@@ -129,7 +126,7 @@ def test_twist_compatibility(cp, d):
     dstar = arith.fundamental_discriminant(d)
     assume(q != 2 and dstar % q != 0)
     tw = quadratic_twist(m, d)
-    assume(hecke.has_good_reduction(tw, q))
+    assume(curves.minimal_discriminant(tw) % q != 0)
     assert a_q(tw, q).a_q == arith.kronecker_symbol(dstar, q) * a_q(m, q).a_q
 
 

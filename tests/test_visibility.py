@@ -4,8 +4,6 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shavis import arith
-from shavis.curves import WeierstrassModel
 from shavis.scenario import bundled_scenario_path, load_bundled_scenario, scenario_from_dict
 from shavis.visibility import (
     THEOREM_HYPOTHESES,
@@ -13,7 +11,6 @@ from shavis.visibility import (
     _Engine,
     clear_memos,
     curve_facts,
-    verify_lemma_twist,
     verify_scenario,
 )
 
@@ -229,63 +226,6 @@ def test_exten_vacuous_statement_names_the_image_rank(dataset):
     blob["rank_records"][2]["rank"] = 0
     c = verify_scenario(scenario_from_dict(blob), dataset).conclusion
     assert c["statement"] == "no nontrivial lower bound (rank gap 0 <= 0)"
-
-
-def test_lemma_twist_spec_paths(e1_52):
-    # semistable conductor-203 curve, p = 5: the prime 7 drops from the mod-5
-    # conductor (v_7(disc) = 5), is split multiplicative, and is inert in
-    # Q(sqrt 13), so every lemma condition holds; the direct computation on
-    # the twisted model must then agree
-    e203 = WeierstrassModel.from_list(E203_1)
-    verdicts = {v.id: v for v in verify_lemma_twist(e203, 13, 5)}
-    assert all(v.status == "holds" for v in verdicts.values()), {
-        k: v.status for k, v in verdicts.items()
-    }
-    assert verdicts["T.conclusion"].evidence["direct_check"]["all_coprime"]
-    # E1 of the quadratic example is not semistable: the lemma does not apply
-    # (T.i inconclusive) even though the direct check succeeds there too
-    verdicts_e1 = {v.id: v for v in verify_lemma_twist(e1_52, 59, 5)}
-    assert verdicts_e1["T.i"].status == "inconclusive"
-    assert verdicts_e1["T.conclusion"].evidence["direct_check"]["all_coprime"]
-    # p = 3 with even N_chi: condition fails but the direct computation can
-    # still succeed (the sufficient-not-necessary remark)
-    verdicts3 = {v.id: v for v in verify_lemma_twist(e203, 3, 3)}
-    assert verdicts3["T.parity"].status == "fails"  # N_chi = 12 is even
-    assert verdicts3["T.conclusion"].status == "inconclusive"
-    assert verdicts3["T.conclusion"].evidence["direct_check"]["all_coprime"]
-    # N_chi sharing a factor with N_A: condition (iii) fails
-    verdicts_bad = {v.id: v for v in verify_lemma_twist(e203, 7, 3)}
-    assert verdicts_bad["T.iii"].status == "fails"
-
-
-def test_lemma_twist_consistent_on_all_paper_twists(e1_52, e2_364):
-    # verify_lemma_twist raises if its verdict ever disagrees with the direct
-    # Tate computation on the twisted model; run every twist the examples use
-    paper_twists = [
-        (e1_52, 59, 5), (e2_364, 59, 5),
-        (WeierstrassModel.from_list(E203_1), 3, 3),
-        (WeierstrassModel.from_list(E203_2), 3, 3),
-        (WeierstrassModel.from_list(E203_1), 23, 3),
-        (WeierstrassModel.from_list(E203_2), 23, 3),
-        (WeierstrassModel.from_list([1, -1, 1, -57, 222]), 195, 3),
-        (WeierstrassModel.from_list([1, -1, 1, -91, -310]), 195, 3),
-    ]
-    for model, d, p in paper_twists:
-        verdicts = {v.id: v for v in verify_lemma_twist(model, d, p)}
-        direct = verdicts["T.conclusion"].evidence["direct_check"]
-        assert direct["all_coprime"], (d, p, direct)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([5, 13, 17, 21, 29, 33, -11, -19]),
-       st.sampled_from([5, 7, 11]))
-def test_lemma_twist_never_contradicts_direct_check(d, p):
-    # whenever the lemma certifies, the direct Tate computation agrees
-    # (verify_lemma_twist raises AssertionError on any disagreement)
-    m = WeierstrassModel.from_list([0, 0, 1, -1, 0])  # conductor 37, good at 5,7,11
-    if arith.fundamental_discriminant(d) % 37 == 0:
-        return
-    verify_lemma_twist(m, d, p)
 
 
 def test_lie_false_tate_dimension_branch(dataset):
