@@ -72,6 +72,18 @@ class CongruenceCertificate:
         return out
 
 
+def _skip_reason(q: int, p: int, class_a: dict, class_b: dict) -> str | None:
+    """Why the sweep compares no a_q at the prime q, or None when it does."""
+    if q == p:
+        return "equals p"
+    if q in class_a and q in class_b:
+        return "bad for both curves"
+    bad_side = class_a.get(q) or class_b.get(q)
+    if bad_side and bad_side.reduction_class not in (localdata.SPLIT_MULT, localdata.NONSPLIT_MULT):
+        return "additive for one curve"
+    return None
+
+
 def verify_congruence(
     a: WeierstrassModel,
     b: WeierstrassModel,
@@ -84,7 +96,8 @@ def verify_congruence(
     Primes dividing exactly one conductor are held to the level-lowering
     compatibility a_q(good side) = +-(q+1) mod p when the other side is
     multiplicative; primes dividing both conductors, additive primes and p
-    itself are recorded as skipped.
+    itself are recorded as skipped. A heuristic sweep that would have to
+    count a prime past hecke.HARD_LIMIT raises the cap's error at once.
     """
     if p == 2 or not arith.is_prime(p):
         raise ArithmeticError_(f"need an odd prime, got {p}")
@@ -100,37 +113,33 @@ def verify_congruence(
 
     class_a = {l.q: l for l in locs_a}
     class_b = {l.q: l for l in locs_b}
+    if mode == HEURISTIC and bound > hecke.HARD_LIMIT:
+        # a heuristic sweep does not stop at a mismatch: it would fail at the
+        # first prime past the point-count cap that it counts, after every
+        # prime below the cap
+        q = hecke.HARD_LIMIT + 1
+        while q <= bound and (not arith.is_prime(q) or _skip_reason(q, p, class_a, class_b)):
+            q += 1
+        if q <= bound:
+            raise ArithmeticError_(f"point counting capped at q <= {hecke.HARD_LIMIT}")
     comparisons, mismatches, skipped, checked = [], [], [], []
 
     for q in arith.primes(bound):
-        if q == p:
-            skipped.append({"q": q, "reason": "equals p"})
+        reason = _skip_reason(q, p, class_a, class_b)
+        if reason:
+            skipped.append({"q": q, "reason": reason})
             continue
-        bad_a, bad_b = q in class_a, q in class_b
-        if not bad_a and not bad_b:
+        if q not in class_a and q not in class_b:
             aq_a = hecke.a_q_of_minimal(a, q).a_q
             aq_b = hecke.a_q_of_minimal(b, q).a_q
             ok = (aq_a - aq_b) % p == 0
             comparisons.append({"q": q, "a_q_A": aq_a, "a_q_B": aq_b, "ok": ok})
-            checked.append(q)
-            if not ok:
-                mismatches.append(comparisons[-1])
-                if mode == BOUNDED_PROOF:
-                    break
-            continue
-        if bad_a and bad_b:
-            skipped.append({"q": q, "reason": "bad for both curves"})
-            continue
-        bad_side = class_a.get(q) or class_b.get(q)
-        good_model = b if bad_a else a
-        if bad_side.reduction_class not in (localdata.SPLIT_MULT, localdata.NONSPLIT_MULT):
-            skipped.append({"q": q, "reason": "additive for one curve"})
-            continue
-        aq_good = hecke.a_q_of_minimal(good_model, q).a_q
-        ok = (aq_good - (q + 1)) % p == 0 or (aq_good + (q + 1)) % p == 0
-        comparisons.append(
-            {"q": q, "a_q_good": aq_good, "rule": "level-lowering +-(q+1)", "ok": ok}
-        )
+        else:
+            aq_good = hecke.a_q_of_minimal(b if q in class_a else a, q).a_q
+            ok = (aq_good - (q + 1)) % p == 0 or (aq_good + (q + 1)) % p == 0
+            comparisons.append(
+                {"q": q, "a_q_good": aq_good, "rule": "level-lowering +-(q+1)", "ok": ok}
+            )
         checked.append(q)
         if not ok:
             mismatches.append(comparisons[-1])

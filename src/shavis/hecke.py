@@ -1,8 +1,12 @@
 """Fourier coefficients a_q via point counting over prime fields.
 
-Below the naive threshold we count with a quadratic-residue table in O(q);
-above it a baby-step giant-step order search in the Hasse interval takes
-over (Mestre style, with deterministic point selection so runs repeat).
+Each a_q computes the minimal model's integer b-, c-invariants and
+discriminant once, with no Fraction. The discriminant decides good
+reduction. Below the naive threshold b2, b4, b6 feed an O(q) counter: a
+table of square-root counts summed over the values of 4x^3 + b2 x^2 +
+2 b4 x + b6. Above it c4, c6 give the short model on which a baby-step
+giant-step order search runs in the Hasse interval (Mestre style, with
+deterministic point selection so runs repeat).
 ModCurve is the one mod-q group law: the order search runs on it, and so do
 the torsion filters of the rational point search in dataio.
 Bad primes use the standard rules: +-1 for multiplicative reduction, 0 for
@@ -35,50 +39,30 @@ class ApRecord:
             raise SoundnessError(f"Hasse bound violated at {self.q}")
 
 
-def _good_at(minimal: WeierstrassModel, q: int) -> bool:
-    return int(curves.invariants(minimal).disc) % q != 0
-
-
-def _count(minimal: WeierstrassModel, q: int) -> int:
-    """#E(F_q) of a minimal model with good reduction at the prime q <= HARD_LIMIT."""
-    if q <= NAIVE_LIMIT:
-        return _count_naive(minimal, q)
-    return _count_bsgs(minimal, q)
-
-
-def _count_naive(model: WeierstrassModel, q: int) -> int:
-    a = tuple(x % q for x in model.int_ainvs())
-    if q == 2:
-        a1, a2, a3, a4, a6 = a
-        count = 1
-        for x in (0, 1):
-            for y in (0, 1):
-                if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0:
-                    count += 1
-        return count
-    return _count_residues(a, q)
-
-
-def _count_residues(a: tuple, q: int) -> int:
-    """#E(F_q) from a-invariants reduced at an odd prime q, in O(q)."""
-    # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
-    b2, b4, b6 = (b % q for b in curves.bc_invariants(a)[:3])
-    qr = bytearray(q)
-    for z in range(1, (q + 1) // 2):
-        qr[z * z % q] = 1
-    count = q + 1
-    for x in range(q):
-        rhs = (4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % q
-        if rhs == 0:
-            continue  # one point, already budgeted in the q of q+1
-        count += 1 if qr[rhs] else -1
+def _count_two(a: tuple) -> int:
+    """#E(F_2) from integral a-invariants with good reduction at 2."""
+    a1, a2, a3, a4, a6 = a
+    count = 1
+    for x in (0, 1):
+        for y in (0, 1):
+            if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0:
+                count += 1
     return count
 
 
-def _short_mod(model: WeierstrassModel, q: int) -> tuple[int, int]:
-    """Coefficients (A, B) of an F_q-isomorphic y^2 = x^3 + Ax + B, q >= 5."""
-    short = curves.short_model(model)
-    return int(short.a4) % q, int(short.a6) % q
+def _count_residues(b2: int, b4: int, b6: int, q: int) -> int:
+    """#E(F_q) from the b-invariants at an odd prime q of good reduction, in O(q).
+
+    Completing the square gives (2y + a1 x + a3)^2 = f(x) = 4x^3 + b2 x^2 +
+    2 b4 x + b6, so #E(F_q) = 1 + sum of t[f(x)], where t[v] counts the
+    square roots of v in F_q: 2, 1 for v = 0, or 0.
+    """
+    t = bytearray(q)
+    for z in range(1, (q + 1) // 2):
+        t[z * z % q] = 2
+    t[0] = 1
+    b2, b4, b6 = b2 % q, 2 * b4 % q, b6 % q
+    return 1 + sum([t[(((4 * x + b2) * x + b4) * x + b6) % q] for x in range(q)])
 
 
 class ModCurve:
@@ -167,14 +151,14 @@ class ModCurve:
         """
         if self._small_set is not None:
             return self._small_set
-        order = _count_residues(self.a, self.q)
+        q = self.q
+        b2, b4, b6 = curves.bc_invariants(self.a)[:3]
+        order = _count_residues(b2, b4, b6, q)
         divisors = [n for n in range(2, TORSION_MAX_ORDER + 1) if order % n == 0]
         maximal = [n for n in divisors if not any(m != n and m % n == 0 for m in divisors)]
         small = {None}
         if maximal:
             a1, _, a3, _, _ = self.a
-            b2, b4, b6 = curves.bc_invariants(self.a)[:3]
-            q = self.q
             sqrt_table = {}
             for z in range((q + 1) // 2):
                 sqrt_table.setdefault(z * z % q, z)
@@ -219,8 +203,8 @@ def _point_order_multiple(P, E: ModCurve) -> int:
     raise ArithmeticError_(f"BSGS failed at {q}")  # unreachable if Hasse holds
 
 
-def _count_bsgs(model: WeierstrassModel, q: int) -> int:
-    A, B = _short_mod(model, q)
+def _count_bsgs(A: int, B: int, q: int) -> int:
+    """#E(F_q) of y^2 = x^3 + Ax + B at a prime q >= 5 of good reduction."""
     E = ModCurve((0, 0, 0, A, B), q)
     # |a_q| <= floor(2 sqrt(q)) = isqrt(4q), which 2 * isqrt(q) can undershoot by one
     lo = q + 1 - math.isqrt(4 * q)
@@ -307,11 +291,17 @@ def a_q_of_minimal(minimal: WeierstrassModel, q: int) -> ApRecord:
     """
     if not arith.is_prime(q):
         raise ArithmeticError_(f"{q} is not prime")
-    if _good_at(minimal, q):
+    a = minimal.int_ainvs()
+    b2, b4, b6, _, c4, c6, disc = curves.bc_invariants(a)
+    if disc % q:
         if q > HARD_LIMIT:
             raise ArithmeticError_(f"point counting capped at q <= {HARD_LIMIT}")
-        n = _count(minimal, q)
-        return ApRecord(q, q + 1 - n, "naive-count" if q <= NAIVE_LIMIT else "bsgs")
+        if q == 2:
+            return ApRecord(q, 3 - _count_two(a), "naive-count")
+        if q <= NAIVE_LIMIT:
+            return ApRecord(q, q + 1 - _count_residues(b2, b4, b6, q), "naive-count")
+        # y^2 = x^3 - 27 c4 x - 54 c6 is the model scaled by u = 6, isomorphic over F_q
+        return ApRecord(q, q + 1 - _count_bsgs(-27 * c4 % q, -54 * c6 % q, q), "bsgs")
     local = localdata.tate_algorithm(minimal, q)
     if local.reduction_class == localdata.SPLIT_MULT:
         return ApRecord(q, 1, "bad-prime-rule")

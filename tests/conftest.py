@@ -25,18 +25,30 @@ def e2_364():
     return WeierstrassModel.from_list([0, 0, 0, -584, 5444])
 
 
-@pytest.fixture
-def minimal_model_calls(monkeypatch):
-    """The models handed to curves.minimal_model while the test runs."""
+def _record_calls(monkeypatch, name):
+    """Wrap curves.<name> so that the models handed to it are recorded."""
     calls = []
-    real = curves.minimal_model
+    real = getattr(curves, name)
 
     def counting(model):
         calls.append(model)
         return real(model)
 
-    monkeypatch.setattr(curves, "minimal_model", counting)
+    monkeypatch.setattr(curves, name, counting)
     return calls
+
+
+@pytest.fixture
+def minimal_model_calls(monkeypatch):
+    """The models handed to curves.minimal_model while the test runs."""
+    return _record_calls(monkeypatch, "minimal_model")
+
+
+@pytest.fixture
+def invariants_calls(monkeypatch):
+    """The models handed to curves.invariants (Fraction arithmetic) while the
+    test runs."""
+    return _record_calls(monkeypatch, "invariants")
 
 
 @pytest.fixture(scope="session")

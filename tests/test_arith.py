@@ -113,6 +113,12 @@ def test_primality_deterministic_range():
         assert list(arith.primes(bound)) == [n for n in range(bound + 1) if arith.is_prime(n)]
 
 
+def test_is_prime_matches_the_sieve_below_10_4():
+    # below 43^2 trial division by the witnesses 2..41 decides alone
+    sieved = set(arith.primes(10**4))
+    assert [n for n in range(10**4) if arith.is_prime(n)] == sorted(sieved)
+
+
 #: OEIS A014233: the least strong pseudoprime to each of the first k prime
 #: bases, k = 1..13.
 _A014233 = (

@@ -269,6 +269,33 @@ def test_verify_improv_over_large_cyclotomic_finishes(tmp_path, p):
     assert done.returncode in (3, 4), done.stderr
 
 
+@pytest.mark.parametrize("mode", ["heuristic", "bounded-proof"])
+def test_verify_congruence_bound_past_the_point_count_cap(tmp_path, mode):
+    # a Sturm bound of about 2.9e10. No mismatch stops a heuristic sweep, so
+    # it must fail at once, not after the 664k primes below the cap of 10^7;
+    # a bounded-proof sweep stops at its first mismatch and keeps its
+    # refuted certificate. A subprocess, so a hang fails the test
+    blob = json.loads(bundled_scenario_path("ex_203_quadratic_3").read_text())
+    blob["curve_b"] = [17, 4, 17, 0, 17]
+    blob["options"]["mode"] = mode
+    src = str(Path(shavis.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "shavis.cli", "verify", _write(tmp_path, blob)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=30)
+    if mode == "heuristic":
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == "error: point counting capped at q <= 10000000\n"
+        return
+    assert done.returncode == 3, done.stderr
+    cert = json.loads(done.stdout[: done.stdout.rindex("}") + 1])
+    (congruence,) = [v for v in cert["verdicts"] if v["id"] == "A.a"]
+    assert congruence["evidence"]["congruence"] == {"3": {
+        "bound": 28997222400, "mode": "bounded-proof", "p": 3, "primes_checked": 2,
+        "verdict": "refuted",
+        "mismatches": [{"a_q_good": -4, "ok": False, "q": 5, "rule": "level-lowering +-(q+1)"}],
+    }}
+
+
 def test_verify_partial_exits_4(capsys, tmp_path):
     blob = json.loads(bundled_scenario_path("ex_176_kummer7").read_text())
     blob["rank_records"] = []

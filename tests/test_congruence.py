@@ -244,6 +244,20 @@ def test_sweeps_match_on_random_shown_pairs(a4, a6, b4, b6, p, iso):
     assert irreducible_mod_p(shown_a, p) == irreducible_mod_p(min_a, p)
 
 
+def test_sweep_makes_no_fraction_invariants_per_prime(invariants_calls):
+    # the per-prime a_q works on the integer invariants: widening the sweep
+    # adds primes, not curves.invariants calls
+    for ainvs_a, ainvs_b, p in BUNDLED_PAIRS:
+        a, b = WeierstrassModel.from_list(ainvs_a), WeierstrassModel.from_list(ainvs_b)
+        runs = []
+        for bound in (100, 1000):
+            invariants_calls.clear()
+            cert = verify_congruence(a, b, p, bound=bound)
+            runs.append((len(cert.primes_checked), len(invariants_calls)))
+        (few, calls_few), (many, calls_many) = runs
+        assert few < many and calls_few == calls_many, (ainvs_a, runs)
+
+
 def test_sweeps_minimalize_once_per_curve(minimal_model_calls, e1_52, e2_364):
     calls = minimal_model_calls
     cert = verify_congruence(e1_52, e2_364, 5, mode="bounded-proof")

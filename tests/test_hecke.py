@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -55,7 +56,9 @@ def test_bsgs_agrees_with_naive(e1_52):
         (cm43, 10111),
     ]
     for m, q in cases:
-        assert hecke._count_bsgs(m, q) == hecke._count_naive(m, q), (m, q)
+        b2, b4, b6, _, c4, c6, _ = curves.bc_invariants(m.int_ainvs())
+        bsgs = hecke._count_bsgs(-27 * c4 % q, -54 * c6 % q, q)
+        assert bsgs == hecke._count_residues(b2, b4, b6, q), (m, q)
     rec = a_q(e1_52, 10007)
     assert rec.method == "bsgs"
     assert a_q(e1_52, 9973).method == "naive-count"
@@ -151,6 +154,72 @@ def test_a_q_minimalizes_once(minimal_model_calls, e1_52):
         calls.clear()
         assert a_q(shown, q).method == method
         assert len(calls) == 1, (q, len(calls))
+
+
+# Reference copies of the per-prime path as it was before it went to integer
+# invariants: the branchy residue loop, and the Fraction good-reduction test
+# and short model.
+def _reference_count_residues(a, q):
+    b2, b4, b6 = (b % q for b in curves.bc_invariants(a)[:3])
+    qr = bytearray(q)
+    for z in range(1, (q + 1) // 2):
+        qr[z * z % q] = 1
+    count = q + 1
+    for x in range(q):
+        rhs = (4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % q
+        if rhs == 0:
+            continue
+        count += 1 if qr[rhs] else -1
+    return count
+
+
+def _reference_good_at(minimal, q):
+    return int(curves.invariants(minimal).disc) % q != 0
+
+
+def _reference_short_mod(model, q):
+    short = curves.short_model(model)
+    return int(short.a4) % q, int(short.a6) % q
+
+
+integral = st.builds(
+    WeierstrassModel.from_list,
+    st.lists(st.integers(-400, 400), min_size=5, max_size=5),
+)
+NEAR_NAIVE_LIMIT = (9949, 9967, 9973)
+BSGS_PRIMES = (10007, 10009, 10037)
+
+
+@settings(max_examples=20, deadline=None)
+@given(integral)
+def test_integer_path_matches_the_fraction_reference(model):
+    try:
+        minimal, _ = curves.minimal_model(model)
+    except curves.SingularCurveError:
+        assume(False)
+    a = minimal.int_ainvs()
+    disc = int(curves.invariants(minimal).disc)
+    qs = set(arith.primes(600)) | set(NEAR_NAIVE_LIMIT) | set(arith.prime_divisors(disc))
+    for q in sorted(qs):
+        rec = hecke.a_q_of_minimal(minimal, q)
+        good = _reference_good_at(minimal, q)
+        assert (rec.method != "bad-prime-rule") == good, q
+        if good and q > 2:
+            assert rec.a_q == q + 1 - _reference_count_residues(a, q), q
+    with mock.patch.object(hecke, "_count_bsgs", wraps=hecke._count_bsgs) as bsgs:
+        for q in BSGS_PRIMES:
+            rec = hecke.a_q_of_minimal(minimal, q)
+            if _reference_good_at(minimal, q):
+                assert bsgs.call_args.args == (*_reference_short_mod(minimal, q), q)
+                assert rec.a_q == q + 1 - _reference_count_residues(a, q), q
+
+
+def test_a_q_of_minimal_makes_no_fraction_invariants(invariants_calls, e1_52):
+    minimal, _ = curves.minimal_model(e1_52)
+    invariants_calls.clear()
+    methods = [hecke.a_q_of_minimal(minimal, q).method for q in (3, 5, 9973, 10007)]
+    assert methods == ["naive-count"] * 3 + ["bsgs"]
+    assert invariants_calls == []
 
 
 @st.composite
