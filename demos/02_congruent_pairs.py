@@ -9,7 +9,7 @@ mod-p Galois representation, which is the entry ticket to every visibility
 theorem here.
 """
 
-from shavis import WeierstrassModel, a_q, congruence_bound, verify_congruence
+from shavis import WeierstrassModel, a_q, congruence_bound, curve_facts, verify_congruence
 
 E1 = WeierstrassModel.from_list([0, 0, 0, 1, -10])
 E2 = WeierstrassModel.from_list([0, 0, 0, -584, 5444])
@@ -25,16 +25,20 @@ for q in (3, 11, 17, 19, 23, 29):
 ###############################################################################
 # The bounded proof checks everything up to floor(mu(lcm(N_A, N_B))/6) plus
 # the level-lowering compatibilities at primes dividing one conductor only.
+# The sweep takes each curve's facts (minimal model, c-invariants, conductor
+# and local data), derived once by curve_facts.
 
 print("\nbound =", congruence_bound(52, 364))
-cert = verify_congruence(E1, E2, 5, mode="bounded-proof")
+F1, F2 = curve_facts(E1), curve_facts(E2)
+print("conductors:", F1.conductor, F2.conductor)
+cert = verify_congruence(F1, F2, 5, mode="bounded-proof")
 print("verdict:", cert.verdict, "after", len(cert.primes_checked), "primes")
 
 ###############################################################################
 # A failing pair is refuted with explicit mismatch evidence.
 
 E11 = WeierstrassModel.from_list([0, -1, 1, -10, -20])
-bad = verify_congruence(E1, E11, 5)
+bad = verify_congruence(F1, curve_facts(E11), 5)
 print("\nE1 vs 11a1 at 5:", bad.verdict)
 print("first mismatches:", [(m["q"], m["a_q_A"], m["a_q_B"]) for m in bad.mismatches[:3]])
 

@@ -85,14 +85,16 @@ def _skip_reason(q: int, p: int, class_a: dict, class_b: dict) -> str | None:
 
 
 def verify_congruence(
-    a: WeierstrassModel,
-    b: WeierstrassModel,
+    a: localdata.CurveFacts,
+    b: localdata.CurveFacts,
     p: int,
     mode: str = HEURISTIC,
     bound: int | None = None,
 ) -> CongruenceCertificate:
     """Check a_q(A) = a_q(B) mod p for good q up to the working bound.
 
+    The curves come as their `localdata.curve_facts`: the sweep reads the
+    conductors, local data and c-invariants from them and derives none again.
     Primes dividing exactly one conductor are held to the level-lowering
     compatibility a_q(good side) = +-(q+1) mod p when the other side is
     multiplicative; primes dividing both conductors, additive primes and p
@@ -103,16 +105,12 @@ def verify_congruence(
         raise ArithmeticError_(f"need an odd prime, got {p}")
     if mode not in (HEURISTIC, BOUNDED_PROOF):
         raise ArithmeticError_(f"unknown mode {mode!r}")
-    n_a, locs_a = localdata.conductor(a)
-    n_b, locs_b = localdata.conductor(b)
-    a, _ = curves.minimal_model(a)  # once per curve, not once per prime
-    b, _ = curves.minimal_model(b)
-    base_bound = congruence_bound(n_a, n_b)
+    base_bound = congruence_bound(a.conductor, b.conductor)
     if bound is None:
         bound = base_bound if mode == BOUNDED_PROOF else max(1000, base_bound)
 
-    class_a = {l.q: l for l in locs_a}
-    class_b = {l.q: l for l in locs_b}
+    class_a = {l.q: l for l in a.local_data}
+    class_b = {l.q: l for l in b.local_data}
     if mode == HEURISTIC and bound > hecke.HARD_LIMIT:
         # a heuristic sweep does not stop at a mismatch: it would fail at the
         # first prime past the point-count cap that it counts, after every
@@ -130,12 +128,11 @@ def verify_congruence(
             skipped.append({"q": q, "reason": reason})
             continue
         if q not in class_a and q not in class_b:
-            aq_a = hecke.a_q_of_minimal(a, q).a_q
-            aq_b = hecke.a_q_of_minimal(b, q).a_q
+            aq_a, aq_b = hecke.good_a_q(q, a, b)
             ok = (aq_a - aq_b) % p == 0
             comparisons.append({"q": q, "a_q_A": aq_a, "a_q_B": aq_b, "ok": ok})
         else:
-            aq_good = hecke.a_q_of_minimal(b if q in class_a else a, q).a_q
+            (aq_good,) = hecke.good_a_q(q, b if q in class_a else a)
             ok = (aq_good - (q + 1)) % p == 0 or (aq_good + (q + 1)) % p == 0
             comparisons.append(
                 {"q": q, "a_q_good": aq_good, "rule": "level-lowering +-(q+1)", "ok": ok}

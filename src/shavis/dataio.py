@@ -448,11 +448,17 @@ def _iter_coeffs(k: int, window: int):
 # rank resolution
 
 class RankSources:
-    """Prioritized rank lookup: user > dataset > point search."""
+    """Prioritized rank lookup: user > dataset > point search.
+
+    User records are keyed once, here, by minimal model and field; where two
+    share a key, the first one given answers.
+    """
 
     def __init__(self, dataset: Dataset | None = None, user_records: list[RankRecord] = ()):
         self.dataset = dataset
-        self.user_records = list(user_records)
+        self.user_records: dict[tuple, RankRecord] = {}
+        for rec in user_records:
+            self.user_records.setdefault((model_key(rec.model), rec.field), rec)
 
 
 def rank_over(
@@ -466,10 +472,9 @@ def rank_over(
     rank(E/Q) + rank(E^d/Q), both summands resolved recursively (the standard
     twist decomposition). Anything else must come from a user record.
     """
-    key = model_key(model)
-    for rec in sources.user_records:
-        if rec.field == field and model_key(rec.model) == key:
-            return rec
+    user = sources.user_records.get((model_key(model), field))
+    if user is not None:
+        return user
     if field.kind == "rationals":
         if sources.dataset is not None:
             hit = sources.dataset.lookup_model(model)

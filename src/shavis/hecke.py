@@ -1,12 +1,15 @@
 """Fourier coefficients a_q via point counting over prime fields.
 
-Each a_q computes the minimal model's integer b-, c-invariants and
-discriminant once, with no Fraction. The discriminant decides good
-reduction. Below the naive threshold b2, b4, b6 feed an O(q) counter: a
-table of square-root counts summed over the values of 4x^3 + b2 x^2 +
-2 b4 x + b6. Above it c4, c6 give the short model on which a baby-step
-giant-step order search runs in the Hasse interval (Mestre style, with
-deterministic point selection so runs repeat).
+Each a_q computes the minimal model's integer c-invariants and discriminant
+once, with no Fraction; a sweep reads them off the curve's CurveFacts. The
+discriminant decides good reduction. At q >= 5, c4 and c6 give the short
+model y^2 = x^3 + Ax + B with A = -27 c4, B = -54 c6 mod q. Below the naive
+threshold one O(q) kernel counts it: a table of square-root counts summed
+over the values (x*x + A)*x + B, and a sweep builds that table once per
+prime for both of its curves. q = 2 and 3 list the affine pairs. Above the
+threshold a baby-step giant-step order search runs in the Hasse interval
+(Mestre style, with deterministic point selection so runs repeat), on the
+quadratic twist too when the curve's own points leave the order open.
 ModCurve is the one mod-q group law: the order search runs on it, and so do
 the torsion filters of the rational point search in dataio.
 Bad primes use the standard rules: +-1 for multiplicative reduction, 0 for
@@ -16,6 +19,7 @@ point count, which the tests use as an independent oracle against Tate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +30,7 @@ from .curves import WeierstrassModel
 NAIVE_LIMIT = 10_000
 HARD_LIMIT = 10_000_000
 TORSION_MAX_ORDER = 12  # Mazur bound over Q
+TWIST_AFTER = 4  # points of E that BSGS tries before it counts the twist too
 
 
 @dataclass(frozen=True)
@@ -39,30 +44,36 @@ class ApRecord:
             raise SoundnessError(f"Hasse bound violated at {self.q}")
 
 
-def _count_two(a: tuple) -> int:
-    """#E(F_2) from integral a-invariants with good reduction at 2."""
+def _count_small(a: tuple, q: int) -> int:
+    """#E(F_q) by listing the affine pairs, for q = 2 or 3, where the short
+    model needs a division by 6; integral a-invariants, good reduction at q."""
     a1, a2, a3, a4, a6 = a
-    count = 1
-    for x in (0, 1):
-        for y in (0, 1):
-            if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0:
-                count += 1
-    return count
+    return 1 + sum(
+        1 for x in range(q) for y in range(q)
+        if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % q == 0
+    )
 
 
-def _count_residues(b2: int, b4: int, b6: int, q: int) -> int:
-    """#E(F_q) from the b-invariants at an odd prime q of good reduction, in O(q).
-
-    Completing the square gives (2y + a1 x + a3)^2 = f(x) = 4x^3 + b2 x^2 +
-    2 b4 x + b6, so #E(F_q) = 1 + sum of t[f(x)], where t[v] counts the
-    square roots of v in F_q: 2, 1 for v = 0, or 0.
-    """
+def _square_counts(q: int) -> bytearray:
+    """t[v] = the number of square roots of v mod q, q odd: 2, 1 for v = 0, or
+    0. The table runs over two periods, 0 <= v < 2q, so t takes the sum of two
+    residues as it is, and a difference through Python's negative indices."""
     t = bytearray(q)
     for z in range(1, (q + 1) // 2):
         t[z * z % q] = 2
     t[0] = 1
-    b2, b4, b6 = b2 % q, 2 * b4 % q, b6 % q
-    return 1 + sum([t[(((4 * x + b2) * x + b4) * x + b6) % q] for x in range(q)])
+    return t * 2
+
+
+def _count_residues(A: int, B: int, q: int, t: bytearray) -> int:
+    """#E(F_q) of y^2 = x^3 + Ax + B at a prime q >= 5 of good reduction, in
+    O(q), with t = _square_counts(q): 1 + the sum of t[x^3 + Ax + B] over F_q.
+
+    g(x) = (x*x + A)*x is odd, so x and -x give B + g and B - g: the residues
+    g for 0 < x < q/2 cover every x.
+    """
+    gs = [(x * x + A) * x % q for x in range(1, (q + 1) // 2)]
+    return 1 + t[B] + sum([t[B + g] + t[B - g] for g in gs])
 
 
 class ModCurve:
@@ -147,13 +158,14 @@ class ModCurve:
 
         The order of a point divides N = #E(F_q), so only the n <= 12 that
         divide N can occur; a point is kept when [n]P = O for one of the
-        maximal such n (maximal under divisibility). Needs good reduction.
+        maximal such n (maximal under divisibility). Needs good reduction
+        and q >= 5.
         """
         if self._small_set is not None:
             return self._small_set
         q = self.q
-        b2, b4, b6 = curves.bc_invariants(self.a)[:3]
-        order = _count_residues(b2, b4, b6, q)
+        b2, b4, b6, _, c4, c6, _ = curves.bc_invariants(self.a)
+        order = _count_residues(-27 * c4 % q, -54 * c6 % q, q, _square_counts(q))
         divisors = [n for n in range(2, TORSION_MAX_ORDER + 1) if order % n == 0]
         maximal = [n for n in divisors if not any(m != n and m % n == 0 for m in divisors)]
         small = {None}
@@ -203,27 +215,42 @@ def _point_order_multiple(P, E: ModCurve) -> int:
     raise ArithmeticError_(f"BSGS failed at {q}")  # unreachable if Hasse holds
 
 
+def _points(A: int, B: int, q: int):
+    """The affine points (x, y) of y^2 = x^3 + Ax + B over F_q, one per x, in
+    the order of x (deterministic, so runs repeat)."""
+    for x in range(q):
+        rhs = (x**3 + A * x + B) % q
+        if rhs == 0:
+            yield x, 0
+        elif pow(rhs, (q - 1) // 2, q) == 1:
+            yield x, pow(rhs, (q + 1) // 4, q) if q % 4 == 3 else _sqrt_mod(rhs, q)
+
+
 def _count_bsgs(A: int, B: int, q: int) -> int:
-    """#E(F_q) of y^2 = x^3 + Ax + B at a prime q >= 5 of good reduction."""
-    E = ModCurve((0, 0, 0, A, B), q)
+    """#E(F_q) of y^2 = x^3 + Ax + B at a prime q >= 5 of good reduction.
+
+    #E is a multiple of the lcm of the point orders found, and #E' =
+    2q + 2 - #E for the quadratic twist E' by a non-residue d. Points of E
+    are tried first; after TWIST_AFTER of them (say E(F_q) = Z/m x Z/m, where
+    every order divides m) those of E' join in. By Mestre's theorem, for
+    q > 229 E or E' has a point whose order has a single multiple in the
+    Hasse interval.
+    """
     # |a_q| <= floor(2 sqrt(q)) = isqrt(4q), which 2 * isqrt(q) can undershoot by one
     lo = q + 1 - math.isqrt(4 * q)
     hi = q + 1 + math.isqrt(4 * q)
-    order_lcm = 1
-    for x in range(q):  # deterministic point sweep
-        rhs = (x**3 + A * x + B) % q
-        if rhs == 0:
-            y = 0
-        elif pow(rhs, (q - 1) // 2, q) == 1:
-            y = pow(rhs, (q + 1) // 4, q) if q % 4 == 3 else _sqrt_mod(rhs, q)
-        else:
-            continue
-        P = (x, y)
-        n = _point_order_multiple(P, E)
-        order_lcm = arith.lcm(order_lcm, _exact_order(P, n, E))
-        multiples = [k for k in range(lo + (-lo % order_lcm), hi + 1, order_lcm) if k >= lo]
-        if len(multiples) == 1:
-            return multiples[0]
+    d = next(d for d in range(2, q) if pow(d, (q - 1) // 2, q) == q - 1)
+    twist = (A * d * d % q, B * d**3 % q)
+    lcms = [1, 1]  # of the point orders on E and on E'
+    sides = ((0, (A, B), TWIST_AFTER), (1, twist, None))
+    for side, (a4, a6), limit in sides:
+        E = ModCurve((0, 0, 0, a4, a6), q)
+        for P in itertools.islice(_points(a4, a6, q), limit):
+            lcms[side] = arith.lcm(lcms[side], _exact_order(P, _point_order_multiple(P, E), E))
+            first = lo + (-lo % lcms[0])
+            orders = [n for n in range(first, hi + 1, lcms[0]) if (2 * q + 2 - n) % lcms[1] == 0]
+            if len(orders) == 1:
+                return orders[0]
     raise ArithmeticError_(f"group order ambiguous at {q}")
 
 
@@ -291,17 +318,9 @@ def a_q_of_minimal(minimal: WeierstrassModel, q: int) -> ApRecord:
     """
     if not arith.is_prime(q):
         raise ArithmeticError_(f"{q} is not prime")
-    a = minimal.int_ainvs()
-    b2, b4, b6, _, c4, c6, disc = curves.bc_invariants(a)
+    _, _, _, _, c4, c6, disc = curves.bc_invariants(minimal.int_ainvs())
     if disc % q:
-        if q > HARD_LIMIT:
-            raise ArithmeticError_(f"point counting capped at q <= {HARD_LIMIT}")
-        if q == 2:
-            return ApRecord(q, 3 - _count_two(a), "naive-count")
-        if q <= NAIVE_LIMIT:
-            return ApRecord(q, q + 1 - _count_residues(b2, b4, b6, q), "naive-count")
-        # y^2 = x^3 - 27 c4 x - 54 c6 is the model scaled by u = 6, isomorphic over F_q
-        return ApRecord(q, q + 1 - _count_bsgs(-27 * c4 % q, -54 * c6 % q, q), "bsgs")
+        return _a_q_good(minimal, c4, c6, q)
     local = localdata.tate_algorithm(minimal, q)
     if local.reduction_class == localdata.SPLIT_MULT:
         return ApRecord(q, 1, "bad-prime-rule")
@@ -310,3 +329,30 @@ def a_q_of_minimal(minimal: WeierstrassModel, q: int) -> ApRecord:
     if local.reduction_class == localdata.GOOD:
         raise SoundnessError(f"model {minimal} is not minimal at {q}")
     return ApRecord(q, 0, "bad-prime-rule")
+
+
+def good_a_q(q: int, *facts: localdata.CurveFacts) -> tuple[int, ...]:
+    """a_q of each curve at a prime q of good reduction for all of them, read
+    off their facts; the curves share one table of square-root counts."""
+    for f in facts:
+        if f.disc % q == 0:
+            raise SoundnessError(f"{f.minimal} is bad at {q}")
+    t = _square_counts(q) if 3 < q <= NAIVE_LIMIT else None
+    return tuple(_a_q_good(f.minimal, f.c4, f.c6, q, t).a_q for f in facts)
+
+
+def _a_q_good(minimal: WeierstrassModel, c4: int, c6: int, q: int,
+              t: bytearray | None = None) -> ApRecord:
+    """a_q at a prime q of good reduction for the minimal model with these c4,
+    c6; t is _square_counts(q) when the caller has it already."""
+    if q > HARD_LIMIT:
+        raise ArithmeticError_(f"point counting capped at q <= {HARD_LIMIT}")
+    if q <= 3:
+        return ApRecord(q, q + 1 - _count_small(minimal.int_ainvs(), q), "naive-count")
+    # y^2 = x^3 - 27 c4 x - 54 c6 is the model scaled by u = 6, isomorphic over F_q
+    A, B = -27 * c4 % q, -54 * c6 % q
+    if q <= NAIVE_LIMIT:
+        if t is None:
+            t = _square_counts(q)
+        return ApRecord(q, q + 1 - _count_residues(A, B, q, t), "naive-count")
+    return ApRecord(q, q + 1 - _count_bsgs(A, B, q), "bsgs")

@@ -7,10 +7,16 @@ model. Extension-field Tamagawa numbers are never recomputed by re-running
 Tate over a bigger ring: they follow from the standard behavior of the
 component group under base change, with an explicit refusal (Unsupported)
 for ramified base change at additive primes.
+
+`curve_facts` gathers what the layers above read of one curve (its minimal
+model, integer c-invariants and discriminant, conductor and local data) into
+a `CurveFacts` record, derived once per process.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -316,6 +322,35 @@ def conductor_of_minimal(minimal: WeierstrassModel) -> tuple[int, list[LocalRedu
             locals_.append(data)
             n *= q**data.f
     return n, locals_
+
+
+#: Entries kept by the `curve_facts` memo (and by the congruence memo built on it).
+MEMO_SIZE = 32
+
+
+@dataclass(frozen=True)
+class CurveFacts:
+    """One curve's arithmetic facts, derived once: its global minimal model,
+    that model's integer c4, c6 and discriminant, its conductor and the local
+    data at each bad prime. Two records are equal when their minimal models
+    are, since everything else follows from that model."""
+
+    minimal: WeierstrassModel
+    c4: int = dataclasses.field(compare=False)
+    c6: int = dataclasses.field(compare=False)
+    disc: int = dataclasses.field(compare=False)
+    conductor: int = dataclasses.field(compare=False)
+    local_data: tuple[LocalReductionData, ...] = dataclasses.field(compare=False)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def curve_facts(model: WeierstrassModel) -> CurveFacts:
+    """The facts of a curve given by any model, derived once per process
+    from one `minimal_model` call."""
+    minimal = curves.minimal_model(model)[0]
+    _, _, _, _, c4, c6, disc = curves.bc_invariants(minimal.int_ainvs())
+    n, locs = conductor_of_minimal(minimal)
+    return CurveFacts(minimal, c4, c6, disc, n, tuple(locs))
 
 
 def kodaira_in_n(kodaira: str) -> int | None:

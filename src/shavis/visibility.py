@@ -92,7 +92,7 @@ class VisibilityScenario:
         elif k.kind not in rule.k_kinds:
             raise ScenarioError(f"{self.theorem} theorem takes K of kind "
                                 f"{' or '.join(rule.k_kinds)}, not {k.kind} K = {k.describe()}")
-        if curve_facts(self.curve_a).minimal == curve_facts(self.curve_b).minimal:
+        if localdata.curve_facts(self.curve_a) == localdata.curve_facts(self.curve_b):
             raise ScenarioError("curves A and B coincide as minimal models")
 
     @property
@@ -168,40 +168,19 @@ def _record_user_assertions(scenario) -> list[HypothesisVerdict]:
     ]
 
 
-#: Entries kept by each of the two cross-scenario memos below.
-MEMO_SIZE = 32
-
-
-@dataclass(frozen=True)
-class CurveFacts:
-    """The facts the engine reads of one input curve: its minimal model, its
-    conductor and the local data at each bad prime."""
-
-    minimal: WeierstrassModel
-    conductor: int
-    local_data: tuple[localdata.LocalReductionData, ...]
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def curve_facts(model: WeierstrassModel) -> CurveFacts:
-    """Minimal model and conductor of an input curve, derived once per process."""
-    minimal = curves.minimal_model(model)[0]
-    n, locs = localdata.conductor(minimal)
-    return CurveFacts(minimal, n, tuple(locs))
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _congruence_certificate(a_min: WeierstrassModel, b_min: WeierstrassModel, p: int,
+@functools.lru_cache(maxsize=localdata.MEMO_SIZE)
+def _congruence_certificate(fa: localdata.CurveFacts, fb: localdata.CurveFacts, p: int,
                             mode: str, bound: int | None) -> congruence.CongruenceCertificate:
-    """One congruence sweep per minimal pair, prime, mode and bound, shared by
-    every scenario with those four, whatever its theorem and target field."""
-    return congruence.verify_congruence(a_min, b_min, p, mode=mode, bound=bound)
+    """One congruence sweep per pair of curves, prime, mode and bound, shared
+    by every scenario with those four, whatever its theorem and target field.
+    Curve facts compare by their minimal models."""
+    return congruence.verify_congruence(fa, fb, p, mode=mode, bound=bound)
 
 
 def clear_memos() -> None:
     """Forget every curve fact, congruence certificate and factoring cofactor
     split kept across scenarios."""
-    curve_facts.cache_clear()
+    localdata.curve_facts.cache_clear()
     _congruence_certificate.cache_clear()
     arith._split_cofactor.cache_clear()
 
@@ -212,13 +191,14 @@ class _Engine:
     Every check returns (status, evidence); the theorem table supplies the
     ids. Twisted models, torsion verdicts and ranks are computed once, so a
     hypothesis and the conclusion that both consume one share a resolution.
-    The curve facts and congruence certificates, which do not depend on the
-    target field, come from the process-wide memos above.
+    The curve facts (`localdata.curve_facts`) and congruence certificates,
+    which do not depend on the target field, come from process-wide memos.
     """
 
     def __init__(self, scenario: VisibilityScenario, dataset: dataio.Dataset | None = None):
         self.s = scenario
-        fa, fb = curve_facts(scenario.curve_a), curve_facts(scenario.curve_b)
+        fa, fb = localdata.curve_facts(scenario.curve_a), localdata.curve_facts(scenario.curve_b)
+        self.fa, self.fb = fa, fb
         self.a_min, self.b_min = fa.minimal, fb.minimal
         self.n_a, self.n_b = fa.conductor, fb.conductor
         # lists of the engine's own: editing one cannot reach the memo
@@ -269,7 +249,7 @@ class _Engine:
     def congruent(self) -> tuple[str, dict]:
         """B[n] contained in A and congruent: one congruence proof per p | n."""
         certs = {
-            p: _congruence_certificate(self.a_min, self.b_min, p, self.s.mode,
+            p: _congruence_certificate(self.fa, self.fb, p, self.s.mode,
                                        self.s.congruence_limit)
             for p in self.s.n_primes
         }

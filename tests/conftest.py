@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import shavis
-from shavis import curves, dataio
+from shavis import curves, dataio, localdata
 from shavis.curves import WeierstrassModel
 
 
@@ -25,30 +25,36 @@ def e2_364():
     return WeierstrassModel.from_list([0, 0, 0, -584, 5444])
 
 
-def _record_calls(monkeypatch, name):
-    """Wrap curves.<name> so that the models handed to it are recorded."""
+def _record_calls(monkeypatch, module, name):
+    """Wrap module.<name> so that the models handed to it are recorded."""
     calls = []
-    real = getattr(curves, name)
+    real = getattr(module, name)
 
     def counting(model):
         calls.append(model)
         return real(model)
 
-    monkeypatch.setattr(curves, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
 @pytest.fixture
 def minimal_model_calls(monkeypatch):
     """The models handed to curves.minimal_model while the test runs."""
-    return _record_calls(monkeypatch, "minimal_model")
+    return _record_calls(monkeypatch, curves, "minimal_model")
 
 
 @pytest.fixture
 def invariants_calls(monkeypatch):
     """The models handed to curves.invariants (Fraction arithmetic) while the
     test runs."""
-    return _record_calls(monkeypatch, "invariants")
+    return _record_calls(monkeypatch, curves, "invariants")
+
+
+@pytest.fixture
+def conductor_calls(monkeypatch):
+    """The models handed to localdata.conductor while the test runs."""
+    return _record_calls(monkeypatch, localdata, "conductor")
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ import shavis
 from shavis import arith, fields
 from shavis.congruence import irreducible_mod_p, recheck_witness, verify_congruence
 from shavis.curves import WeierstrassModel, minimal_model, quadratic_twist
-from shavis.localdata import conductor
+from shavis.localdata import conductor, curve_facts
 from shavis.scenario import load_bundled_scenario, scenario_from_dict
 from shavis.visibility import clear_memos, verify_scenario
 
@@ -96,8 +96,8 @@ def test_criterion_3_congruences_certify_fast():
     for a, b, p, expected_bound in pairs:
         t0 = time.monotonic()
         cert = verify_congruence(
-            WeierstrassModel.from_list(a), WeierstrassModel.from_list(b), p,
-            mode="bounded-proof",
+            curve_facts(WeierstrassModel.from_list(a)), curve_facts(WeierstrassModel.from_list(b)),
+            p, mode="bounded-proof",
         )
         dt = time.monotonic() - t0
         ok = ok and cert.certified and dt < 5.0

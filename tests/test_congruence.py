@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shavis import arith, congruence, curves, fields, hecke
+from shavis import arith, congruence, curves, fields, hecke, localdata
 from shavis.congruence import (
     congruence_bound,
     division_polynomial,
@@ -15,7 +15,7 @@ from shavis.congruence import (
     verify_congruence,
 )
 from shavis.curves import SingularCurveError, WeierstrassModel, invariants, quadratic_twist
-from shavis.localdata import conductor, residual_conductor
+from shavis.localdata import conductor, curve_facts, residual_conductor
 
 
 def mu_oracle(n):
@@ -42,7 +42,7 @@ def test_congruence_bound_spec_examples():
 
 
 def test_verify_congruence_ex1(e1_52, e2_364):
-    cert = verify_congruence(e1_52, e2_364, 5, mode="bounded-proof")
+    cert = verify_congruence(curve_facts(e1_52), curve_facts(e2_364), 5, mode="bounded-proof")
     assert cert.verdict == "verified-to-bound"
     assert cert.bound == 112
     assert not cert.mismatches
@@ -53,16 +53,17 @@ def test_verify_congruence_ex1(e1_52, e2_364):
 def test_verify_congruence_other_pairs():
     a = WeierstrassModel.from_list([1, -1, 1, -57, 222])
     b = WeierstrassModel.from_list([1, -1, 1, -91, -310])
-    assert verify_congruence(a, b, 3).verdict == "verified"
-    assert verify_congruence(a, b, 3, mode="bounded-proof").certified
+    assert verify_congruence(curve_facts(a), curve_facts(b), 3).verdict == "verified"
+    assert verify_congruence(curve_facts(a), curve_facts(b), 3, mode="bounded-proof").certified
 
 
 def test_verify_congruence_reflexive_and_refuted(e1_52):
-    assert verify_congruence(e1_52, e1_52, 7, bound=80).certified
-    neg = verify_congruence(e1_52, WeierstrassModel.from_list([0, -1, 1, -10, -20]), 5)
+    assert verify_congruence(curve_facts(e1_52), curve_facts(e1_52), 7, bound=80).certified
+    e11 = WeierstrassModel.from_list([0, -1, 1, -10, -20])
+    neg = verify_congruence(curve_facts(e1_52), curve_facts(e11), 5)
     assert neg.verdict == "refuted" and neg.mismatches
     with pytest.raises(arith.ArithmeticError_):
-        verify_congruence(e1_52, e1_52, 2)
+        verify_congruence(curve_facts(e1_52), curve_facts(e1_52), 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -81,8 +82,8 @@ def test_congruence_symmetry(a4, a6, b4, b6, p):
     except SingularCurveError:
         assume(False)
     assume(curves_differ(ma, mb))
-    lhs = verify_congruence(ma, mb, p, bound=30)
-    rhs = verify_congruence(mb, ma, p, bound=30)
+    lhs = verify_congruence(curve_facts(ma), curve_facts(mb), p, bound=30)
+    rhs = verify_congruence(curve_facts(mb), curve_facts(ma), p, bound=30)
     assert lhs.verdict == rhs.verdict
 
 
@@ -208,11 +209,11 @@ def test_sweeps_give_the_same_results_on_shown_and_minimal_pairs():
     for ainvs_a, ainvs_b, p in BUNDLED_PAIRS:
         a, b = WeierstrassModel.from_list(ainvs_a), WeierstrassModel.from_list(ainvs_b)
         min_a, min_b = curves.minimal_model(a)[0], curves.minimal_model(b)[0]
-        reference = verify_congruence(min_a, min_b, p, mode="bounded-proof")
+        reference = verify_congruence(curve_facts(min_a), curve_facts(min_b), p, mode="bounded-proof")
         witness = irreducible_mod_p(min_a, p)
         for iso in SHOWN:
             shown_a, shown_b = curves.transform(a, iso), curves.transform(b, iso)
-            cert = verify_congruence(shown_a, shown_b, p, mode="bounded-proof")
+            cert = verify_congruence(curve_facts(shown_a), curve_facts(shown_b), p, mode="bounded-proof")
             assert cert == reference, (ainvs_a, iso)
             assert cert.to_json("full") == reference.to_json("full")
             for c in cert.comparisons[:12]:  # the per-prime path the sweep replaced
@@ -238,32 +239,41 @@ def test_sweeps_match_on_random_shown_pairs(a4, a6, b4, b6, p, iso):
         assume(False)
     shown_a, shown_b = curves.transform(ma, iso), curves.transform(mb, iso)
     min_a, min_b = curves.minimal_model(ma)[0], curves.minimal_model(mb)[0]
-    cert = verify_congruence(shown_a, shown_b, p, bound=40)
-    assert cert == verify_congruence(min_a, min_b, p, bound=40)
-    assert cert.to_json("full") == verify_congruence(ma, mb, p, bound=40).to_json("full")
+    cert = verify_congruence(curve_facts(shown_a), curve_facts(shown_b), p, bound=40)
+    assert cert == verify_congruence(curve_facts(min_a), curve_facts(min_b), p, bound=40)
+    assert cert.to_json("full") == verify_congruence(curve_facts(ma), curve_facts(mb), p, bound=40).to_json("full")
     assert irreducible_mod_p(shown_a, p) == irreducible_mod_p(min_a, p)
 
 
 def test_sweep_makes_no_fraction_invariants_per_prime(invariants_calls):
-    # the per-prime a_q works on the integer invariants: widening the sweep
-    # adds primes, not curves.invariants calls
+    # the per-prime a_q works on the integer invariants of the facts:
+    # widening the sweep adds primes, not curves.invariants calls
     for ainvs_a, ainvs_b, p in BUNDLED_PAIRS:
-        a, b = WeierstrassModel.from_list(ainvs_a), WeierstrassModel.from_list(ainvs_b)
+        fa = curve_facts(WeierstrassModel.from_list(ainvs_a))
+        fb = curve_facts(WeierstrassModel.from_list(ainvs_b))
         runs = []
         for bound in (100, 1000):
             invariants_calls.clear()
-            cert = verify_congruence(a, b, p, bound=bound)
+            cert = verify_congruence(fa, fb, p, bound=bound)
             runs.append((len(cert.primes_checked), len(invariants_calls)))
         (few, calls_few), (many, calls_many) = runs
-        assert few < many and calls_few == calls_many, (ainvs_a, runs)
+        assert few < many and calls_few == calls_many == 0, (ainvs_a, runs)
 
 
-def test_sweeps_minimalize_once_per_curve(minimal_model_calls, e1_52, e2_364):
+def test_sweeps_minimalize_once_per_curve(minimal_model_calls, conductor_calls,
+                                          invariants_calls, e1_52, e2_364):
     calls = minimal_model_calls
-    cert = verify_congruence(e1_52, e2_364, 5, mode="bounded-proof")
+    # a new model: its facts take one minimal model, and no conductor call
+    shown = curves.transform(e1_52, SHOWN[1])
+    localdata.curve_facts.cache_clear()
+    fa, fb = curve_facts(shown), curve_facts(e2_364)
+    assert calls == [shown, e2_364] and conductor_calls == []
+    # the sweep on prepared curves re-derives nothing
+    calls.clear()
+    invariants_calls.clear()
+    cert = verify_congruence(fa, fb, 5, mode="bounded-proof")
     assert len(cert.primes_checked) > 20
-    # a bounded number per curve (the conductor, then the sweep's model), not one per prime
-    assert len(calls) <= 4 and set(calls) == {e1_52, e2_364}
+    assert calls == [] and conductor_calls == [] and invariants_calls == []
     # 11a1 has rational 5-torsion: no witness, so every prime below the bound is tried
     e11 = WeierstrassModel.from_list([0, -1, 1, -10, -20])
     calls.clear()
@@ -272,3 +282,61 @@ def test_sweeps_minimalize_once_per_curve(minimal_model_calls, e1_52, e2_364):
     calls.clear()
     assert irreducible_mod_p(e1_52, 5, fields.quadratic_field(59)).status == "Irreducible"
     assert calls == [e1_52, e1_52]
+
+
+def _direct_a_q(model, q):
+    """q + 1 - #E(F_q) of an integral model, counted directly: every pair at
+    q = 2; at odd q, for each x the 1 + (D/q) roots y of y^2 + (a1 x + a3) y
+    = x^3 + a2 x^2 + a4 x + a6, with D its discriminant (Euler's criterion)."""
+    a1, a2, a3, a4, a6 = model.int_ainvs()
+    if q == 2:
+        return 2 - sum(1 for x in (0, 1) for y in (0, 1)
+                       if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0)
+    affine = 0
+    for x in range(q):
+        d = ((a1 * x + a3) ** 2 + 4 * (x**3 + a2 * x * x + a4 * x + a6)) % q
+        affine += 1 if d == 0 else 1 + (1 if pow(d, (q - 1) // 2, q) == 1 else -1)
+    return q - affine
+
+
+@st.composite
+def shown_integral_pair(draw):
+    """Two random curves, each behind a random integral change of variables
+    with u = 1, 1/2 or 1/3: integral models, most of them not minimal."""
+    models = []
+    for _ in range(2):
+        m = WeierstrassModel.from_list(
+            [draw(st.integers(0, 1)), draw(st.integers(-1, 1)), draw(st.integers(0, 1)),
+             draw(st.integers(-40, 40)), draw(st.integers(-40, 40))]
+        )
+        try:
+            invariants(m)
+        except SingularCurveError:
+            assume(False)
+        u = draw(st.sampled_from([1, Fraction(1, 2), Fraction(1, 3)]))
+        r, s, t = (draw(st.integers(-3, 3)) for _ in range(3))
+        models.append(curves.transform(m, curves.Isomorphism(u, r, s, t)))
+    return models
+
+
+@settings(max_examples=15, deadline=None)
+@given(shown_integral_pair())
+def test_prepared_sweep_matches_the_raw_path(pair):
+    # the facts are minimal_model plus conductor; at every prime <= 200 good
+    # for both curves, q = 2 and 3 included, the prepared a_q are hecke.a_q's
+    # on the raw models and the direct counts, and the sweep compares them
+    facts = [curve_facts(m) for m in pair]
+    for m, f in zip(pair, facts):
+        minimal = curves.minimal_model(m)[0]
+        inv = invariants(minimal)
+        assert (f.minimal, f.c4, f.c6, f.disc) == (minimal, inv.c4, inv.c6, inv.disc)
+        assert (f.conductor, list(f.local_data)) == conductor(m)
+    bad = {l.q for f in facts for l in f.local_data}
+    good = [q for q in arith.primes(200) if q not in bad]
+    cert = verify_congruence(*facts, 5, bound=200)
+    swept = {c["q"]: [c["a_q_A"], c["a_q_B"]] for c in cert.comparisons if "a_q_A" in c}
+    assert sorted(swept) == [q for q in good if q != 5]
+    for q in good:
+        expected = [hecke.a_q(m, q).a_q for m in pair]
+        assert expected == [_direct_a_q(f.minimal, q) for f in facts], q
+        assert list(hecke.good_a_q(q, *facts)) == swept.get(q, expected) == expected, q

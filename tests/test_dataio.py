@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from shavis import dataio, fields
+from shavis import curves, dataio, fields
 from shavis.curves import WeierstrassModel, minimal_model, quadratic_twist
 from shavis.dataio import (
     DatasetError,
@@ -320,3 +320,20 @@ def test_rank_over_user_priority(dataset, e1_52):
     ]
     sources = RankSources(dataset=dataset, user_records=user)
     assert rank_over(e1_52, fields.RATIONALS, sources).rank == 7
+
+
+def test_user_records_are_keyed_once_first_match_wins(minimal_model_calls, e1_52):
+    # the same curve in other coordinates, twice over Q: the first record
+    # answers; a record over another field is kept apart
+    shown = [curves.transform(e1_52, curves.Isomorphism(u, 1, 0, 0)) for u in (2, 3)]
+    user = [dataio.RankRecord(shown[0], fields.RATIONALS, 7, "user"),
+            dataio.RankRecord(shown[1], fields.RATIONALS, 3, "user"),
+            dataio.RankRecord(e1_52, fields.quadratic_field(59), 5, "user")]
+    minimal_model_calls.clear()
+    sources = RankSources(user_records=user)
+    assert minimal_model_calls == shown + [e1_52]
+    for _ in range(3):
+        minimal_model_calls.clear()
+        assert rank_over(e1_52, fields.RATIONALS, sources) is user[0]
+        assert minimal_model_calls == [e1_52]  # the query's key only
+    assert rank_over(shown[1], fields.quadratic_field(59), sources) is user[2]

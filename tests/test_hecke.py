@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -56,13 +57,30 @@ def test_bsgs_agrees_with_naive(e1_52):
         (cm43, 10111),
     ]
     for m, q in cases:
-        b2, b4, b6, _, c4, c6, _ = curves.bc_invariants(m.int_ainvs())
-        bsgs = hecke._count_bsgs(-27 * c4 % q, -54 * c6 % q, q)
-        assert bsgs == hecke._count_residues(b2, b4, b6, q), (m, q)
+        c4, c6 = curves.bc_invariants(m.int_ainvs())[4:6]
+        A, B = -27 * c4 % q, -54 * c6 % q
+        count = hecke._count_residues(A, B, q, hecke._square_counts(q))
+        assert hecke._count_bsgs(A, B, q) == count, (m, q)
     rec = a_q(e1_52, 10007)
     assert rec.method == "bsgs"
     assert a_q(e1_52, 9973).method == "naive-count"
     assert a_q(cm43, 10111) == hecke.ApRecord(10111, 201, "bsgs")
+
+
+def test_bsgs_counts_the_twist_when_every_order_is_small():
+    # E(F_10303) = Z/102 x Z/102 for y^2 = x^3 + 1 (and likewise for B = 2;
+    # Z/101 x Z/101 for B = 3): each point order divides 102, which has
+    # several multiples in the Hasse interval, so the twist settles #E
+    q = 10303
+    t = hecke._square_counts(q)
+    for b, expected in ((1, -100), (2, -100), (3, 103)):
+        model = WeierstrassModel.from_list([0, 0, 0, 0, b])
+        c4, c6 = curves.bc_invariants(model.int_ainvs())[4:6]
+        A, B = -27 * c4 % q, -54 * c6 % q
+        assert q + 1 - hecke._count_residues(A, B, q, t) == expected
+        t0 = time.perf_counter()
+        assert a_q(model, q) == hecke.ApRecord(q, expected, "bsgs")
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_bad_prime_rules(e2_364):

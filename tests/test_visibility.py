@@ -4,13 +4,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shavis.localdata import curve_facts
 from shavis.scenario import bundled_scenario_path, load_bundled_scenario, scenario_from_dict
 from shavis.visibility import (
     THEOREM_HYPOTHESES,
     ScenarioError,
     _Engine,
     clear_memos,
-    curve_facts,
     verify_scenario,
 )
 
