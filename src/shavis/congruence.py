@@ -246,8 +246,8 @@ def rational_division_roots(model: WeierstrassModel, p: int) -> list:
 
     Candidates come from the rational root theorem (numerator divides the
     constant term, denominator divides the leading coefficient); a direct
-    small-integer scan runs first so a failed factorization of a huge
-    constant term can only lose exotic candidates, never invent roots.
+    small-integer scan runs first so a coefficient with more than
+    DIVISOR_LIMIT divisors can only lose exotic candidates, never invent roots.
 
     A rational root gives P with sigma(P) = +-P for every sigma, so <P> is
     a rational p-isogeny: none exists (Mazur, Invent. Math. 44, 1978) for p
@@ -280,7 +280,7 @@ def rational_division_roots(model: WeierstrassModel, p: int) -> list:
                     if _poly_eval_frac(coeffs, cand) == 0:
                         roots.add(cand)
     except arith.ArithmeticError_:
-        pass  # factorization budget exceeded; the scan already ran
+        pass  # more than DIVISOR_LIMIT divisors (_divisors); the scan already ran
     return sorted(roots)
 
 

@@ -7,9 +7,13 @@ model y^2 = x^3 + Ax + B with A = -27 c4, B = -54 c6 mod q. Below the naive
 threshold one O(q) kernel counts it: a table of square-root counts summed
 over the values (x*x + A)*x + B, and a sweep builds that table once per
 prime for both of its curves. q = 2 and 3 list the affine pairs. Above the
-threshold a baby-step giant-step order search runs in the Hasse interval
-(Mestre style, with deterministic point selection so runs repeat), on the
-quadratic twist too when the curve's own points leave the order open.
+threshold a baby-step giant-step search (Mestre style, with deterministic
+point selection so runs repeat) finds, for each point, every N in the Hasse
+interval that kills it. Its baby steps are keyed by x, so one step stands
+for +-j, and a point of small order ends the search among them. The count
+is the one N left in all these sets; after a few points of the curve, the
+points of its quadratic twist (#E + #E' = 2q + 2) and of the curve take
+turns.
 ModCurve is the one mod-q group law: the order search runs on it, and so do
 the torsion filters of the rational point search in dataio.
 Bad primes use the standard rules: +-1 for multiplicative reduction, 0 for
@@ -188,31 +192,45 @@ class ModCurve:
         return small
 
 
-def _point_order_multiple(P, E: ModCurve) -> int:
-    """A positive multiple of ord(P): finds n near q + 1 with nP = O.
+def _multiples_in_window(P, E: ModCurve, lo: int, hi: int):
+    """Every N in [lo, hi] with N P = O, ascending, for an affine point P.
 
-    BSGS for z with (q+1)P = zP and |z| <= 2*sqrt(q); then n = q + 1 - z.
-    Hasse guarantees z exists (take z = a_q).
+    The baby steps jP, 1 <= j <= m, are keyed by x, so each one stands for
+    +-j. The first step j that meets -jP = jP gives ord(P) = 2j, and the
+    first whose x an earlier step j' holds gives jP = -j'P, so ord(P) =
+    j + j' (no earlier step ended, so ord(P) > j). Then the answer is the
+    multiples of ord(P). Otherwise ord(P) > 2m and the points jP, |j| <= m,
+    are distinct: giant steps (c + k(2m + 1))P from the centre c of the window
+    match at most one of them each, at -jP, which gives N = c + k(2m + 1) + j.
     """
-    q = E.q
-    width = 2 * math.isqrt(q) + 1
-    m = math.isqrt(width) + 1
-    Q = E.mul(q + 1, P)
+    c = (lo + hi) // 2
+    w = hi - c
+    m = math.isqrt(w) + 1
     baby = {}
-    R = E.mul(-m, P)
-    for i in range(-m, m + 1):
-        baby.setdefault(R, i)
+    R = None
+    for j in range(1, m + 1):
         R = E.add(R, P)
-    neg_step = E.neg(E.mul(2 * m + 1, P))
-    R = E.add(Q, E.mul(m * (2 * m + 1), P))  # j = -m
-    for j in range(-m, m + 1):
-        if R in baby:
-            z = baby[R] + j * (2 * m + 1)
-            n = q + 1 - z
-            if n > 0 and E.mul(n, P) is None:
-                return n
-        R = E.add(R, neg_step)
-    raise ArithmeticError_(f"BSGS failed at {q}")  # unreachable if Hasse holds
+        if R == E.neg(R):
+            order = 2 * j
+        elif R[0] in baby:
+            order = j + baby[R[0]][0]
+        else:
+            baby[R[0]] = j, R[1]
+            continue
+        return range(lo + (-lo % order), hi + 1, order)
+    step = 2 * m + 1
+    giant_step = E.add(E.add(R, R), P)
+    k = (w + m) // step  # k step + m >= w: the giant steps cover [c - w, c + w]
+    G = E.mul(c - k * step, P)
+    found = []
+    for n in range(c - k * step, c + k * step + 1, step):
+        if G is None:
+            found.append(n)
+        elif G[0] in baby:
+            j, y = baby[G[0]]
+            found.append(n - j if G[1] == y else n + j)
+        G = E.add(G, giant_step)
+    return [n for n in found if lo <= n <= hi]
 
 
 def _points(A: int, B: int, q: int):
@@ -229,38 +247,41 @@ def _points(A: int, B: int, q: int):
 def _count_bsgs(A: int, B: int, q: int) -> int:
     """#E(F_q) of y^2 = x^3 + Ax + B at a prime q >= 5 of good reduction.
 
-    #E is a multiple of the lcm of the point orders found, and #E' =
-    2q + 2 - #E for the quadratic twist E' by a non-residue d. Points of E
-    are tried first; after TWIST_AFTER of them (say E(F_q) = Z/m x Z/m, where
-    every order divides m) those of E' join in. By Mestre's theorem, for
-    q > 229 E or E' has a point whose order has a single multiple in the
-    Hasse interval.
+    Each point P of E leaves the N in the Hasse window with N P = O, and
+    each point of the quadratic twist E' by a non-residue leaves the
+    2q + 2 - N' for its N', since #E + #E' = 2q + 2. #E is the one candidate
+    left in all these sets. Points of E come first; after TWIST_AFTER of them
+    (say E(F_q) = Z/m x Z/m, where every order divides m) those of E' and of
+    E take turns. For q > 229 the exponents of E and E' leave one candidate
+    (Mestre; Cremona and Sutherland, JTNB 22, 2010), so running out of
+    points is a bug.
     """
     # |a_q| <= floor(2 sqrt(q)) = isqrt(4q), which 2 * isqrt(q) can undershoot by one
     lo = q + 1 - math.isqrt(4 * q)
     hi = q + 1 + math.isqrt(4 * q)
+    candidates = range(lo, hi + 1)
+    for E, P, twisted in _bsgs_points(A, B, q):
+        found = _multiples_in_window(P, E, lo, hi)
+        if twisted:
+            found = [2 * q + 2 - n for n in found]
+        candidates = {n for n in found if n in candidates}
+        if len(candidates) == 1:
+            return candidates.pop()
+    raise SoundnessError(f"group order ambiguous at {q}")
+
+
+def _bsgs_points(A: int, B: int, q: int):
+    """(curve, point, twisted) for _count_bsgs: TWIST_AFTER points of E, then
+    points of the twist E' and of E in turn, until both run out."""
+    E = ModCurve((0, 0, 0, A, B), q)
+    own = ((E, P, False) for P in _points(A, B, q))
+    yield from itertools.islice(own, TWIST_AFTER)
     d = next(d for d in range(2, q) if pow(d, (q - 1) // 2, q) == q - 1)
-    twist = (A * d * d % q, B * d**3 % q)
-    lcms = [1, 1]  # of the point orders on E and on E'
-    sides = ((0, (A, B), TWIST_AFTER), (1, twist, None))
-    for side, (a4, a6), limit in sides:
-        E = ModCurve((0, 0, 0, a4, a6), q)
-        for P in itertools.islice(_points(a4, a6, q), limit):
-            lcms[side] = arith.lcm(lcms[side], _exact_order(P, _point_order_multiple(P, E), E))
-            first = lo + (-lo % lcms[0])
-            orders = [n for n in range(first, hi + 1, lcms[0]) if (2 * q + 2 - n) % lcms[1] == 0]
-            if len(orders) == 1:
-                return orders[0]
-    raise ArithmeticError_(f"group order ambiguous at {q}")
-
-
-def _exact_order(P, n, E: ModCurve) -> int:
-    """ord(P) given a multiple n of it."""
-    order = n
-    for p in arith.prime_divisors(n):
-        while order % p == 0 and E.mul(order // p, P) is None:
-            order //= p
-    return order
+    a4, a6 = A * d * d % q, B * d**3 % q
+    twist = ModCurve((0, 0, 0, a4, a6), q)
+    others = ((twist, P, True) for P in _points(a4, a6, q))
+    for pair in itertools.zip_longest(others, own):
+        yield from filter(None, pair)
 
 
 def _sqrt_mod(a: int, q: int) -> int:

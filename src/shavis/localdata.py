@@ -313,7 +313,7 @@ def conductor(model: WeierstrassModel) -> tuple[int, list[LocalReductionData]]:
 
 def conductor_of_minimal(minimal: WeierstrassModel) -> tuple[int, list[LocalReductionData]]:
     """`conductor` of a model that is already globally minimal."""
-    disc = int(curves.invariants(minimal).disc)
+    disc = curves.bc_invariants(minimal.int_ainvs())[6]
     locals_ = []
     n = 1
     for q in arith.prime_divisors(disc):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import time
 from fractions import Fraction
 from unittest import mock
@@ -81,6 +83,91 @@ def test_bsgs_counts_the_twist_when_every_order_is_small():
         t0 = time.perf_counter()
         assert a_q(model, q) == hecke.ApRecord(q, expected, "bsgs")
         assert time.perf_counter() - t0 < 1.0
+
+
+def _brute_multiples(P, E, lo, hi):
+    return [n for n in range(lo, hi + 1) if E.mul(n, P) is None]
+
+
+def _window(q):
+    w = math.isqrt(4 * q)
+    return q + 1 - w, q + 1 + w
+
+
+# Points at q = 2999 (window half-width 109, so m = 11 baby steps) pinned for
+# each way the search ends: (A, B, P, ord(P))
+EARLY_EXITS = (
+    (1, 2997, (1, 0), 2),  # -P = P at the first baby step
+    (1, 2997, (2037, 670), 12),  # 6P = -6P
+    (1, 2997, (97, 1420), 22),  # 11P = -11P at the last baby step, j = m
+    (2, 3, (133, 2251), 7),  # x of 4P is that of 3P: 4P = -3P
+)
+GIANT_STEPS = (
+    (5, 7, (7, 2730), 977),
+    (5, 7, (0, 1452), 2931),
+)
+
+
+def test_multiples_in_window_matches_brute_force():
+    for q, curves_ in ((2999, ((1, 2997), (0, 1), (2, 3), (5, 7))), (4001, ((3, 5), (0, 2)))):
+        lo, hi = _window(q)
+        for A, B in curves_:
+            E = hecke.ModCurve((0, 0, 0, A, B), q)
+            for P in itertools.islice(hecke._points(A, B, q), 8):
+                assert list(hecke._multiples_in_window(P, E, lo, hi)) == _brute_multiples(
+                    P, E, lo, hi), (A, B, q, P)
+    # a window that is not centred on q + 1, and one with no multiple in it
+    E = hecke.ModCurve((0, 0, 0, 5, 7), 2999)
+    for P, lo, hi in (((7, 2730), 1900, 2000), ((7, 2730), 1955, 1957), ((0, 1452), 10, 2000)):
+        assert list(hecke._multiples_in_window(P, E, lo, hi)) == _brute_multiples(P, E, lo, hi)
+
+
+def test_multiples_in_window_early_exits_make_no_giant_step():
+    q = 2999
+    lo, hi = _window(q)
+    for A, B, P, order in EARLY_EXITS + GIANT_STEPS:
+        E = hecke.ModCurve((0, 0, 0, A, B), q)
+        assert E.mul(order, P) is None and all(
+            E.mul(order // r, P) is not None for r in arith.prime_divisors(order))
+        expected = [n for n in range(lo, hi + 1) if n % order == 0]
+        with mock.patch.object(E, "mul", wraps=E.mul) as mul:
+            assert list(hecke._multiples_in_window(P, E, lo, hi)) == expected, (A, B, P)
+        assert mul.called == (order > 22), (A, B, P)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([q for q in range(10_001, 11_000) if arith.is_prime(q)]),
+       st.integers(0, 10**6), st.integers(0, 10**6))
+def test_bsgs_agrees_with_the_residue_count(q, a, b):
+    A, B = a % q, b % q
+    assume((4 * A**3 + 27 * B * B) % q)
+    assert hecke._count_bsgs(A, B, q) == hecke._count_residues(A, B, q, hecke._square_counts(q))
+
+
+def test_bsgs_takes_turns_when_the_points_leave_the_order_open():
+    # y^2 = x^3 + x - 2 has the point (1, 0) of order 2, and its twist by d
+    # the point (d, 0): each leaves every even N open
+    q, A, B = 10007, 1, 10005
+    d = next(d for d in range(2, q) if pow(d, (q - 1) // 2, q) == q - 1)
+    expected = hecke._count_residues(A, B, q, hecke._square_counts(q))
+    points, search = hecke._points, hecke._multiples_in_window
+
+    def fake(a4, a6, q_):
+        if (a4, a6) == (A, B):
+            return itertools.chain([(1, 0)] * (hecke.TWIST_AFTER + 2), points(a4, a6, q_))
+        return iter([(d, 0)] * 3)
+
+    with mock.patch.object(hecke, "_points", side_effect=fake), \
+            mock.patch.object(hecke, "_multiples_in_window", side_effect=search) as calls:
+        assert hecke._count_bsgs(A, B, q) == expected
+    sides = "".join("E" if c.args[1].a[3:] == (A, B) else "T" for c in calls.call_args_list)
+    assert sides.startswith("EEEE" + "TETETE"), sides
+
+    # when both sides run out of points the search has a bug
+    small = lambda a4, a6, q_: iter([(1, 0)] if (a4, a6) == (A, B) else [(d, 0)])
+    with mock.patch.object(hecke, "_points", side_effect=small):
+        with pytest.raises(arith.SoundnessError, match="group order ambiguous at 10007"):
+            hecke._count_bsgs(A, B, q)
 
 
 def test_bad_prime_rules(e2_364):
