@@ -10,8 +10,9 @@ further but skips nothing silently either way.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import arith, curves, fields, hecke, localdata
 from .arith import ArithmeticError_
@@ -21,9 +22,7 @@ HEURISTIC = "heuristic"
 BOUNDED_PROOF = "bounded-proof"
 
 WITNESS_SEARCH_BOUND = 1000  # irreducibility witnesses: primes below this
-SMALL_ROOT_SCAN = 200  # division-polynomial roots tried first: |x| <= this
-DIVISOR_LIMIT = 100_000  # rational-root candidates: give up past this many divisors
-ISOGENY_PRIMES = frozenset({3, 5, 7, 11, 13, 17, 19, 37, 43, 67, 163})  # odd, Mazur 1978
+TORSION_PRIMES = frozenset({3, 5, 7})  # odd orders of rational torsion, Mazur 1977
 
 
 def congruence_bound(n_a: int, n_b: int) -> int:
@@ -234,72 +233,59 @@ def division_polynomial(model: WeierstrassModel, n: int) -> list[int]:
     return f(n)
 
 
-def _poly_eval_frac(coeffs, x):
+def _poly_eval(coeffs, x: int, mod: int = 0) -> int:
+    """coeffs (low to high) at the integer x, reduced mod `mod` when it is set."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
+        if mod:
+            acc %= mod
     return acc
 
 
 def rational_division_roots(model: WeierstrassModel, p: int) -> list:
-    """Rational roots of the p-division polynomial (p odd prime).
+    """Rational roots of the p-division polynomial f_p (p odd prime), sorted.
 
-    Candidates come from the rational root theorem (numerator divides the
-    constant term, denominator divides the leading coefficient); a direct
-    small-integer scan runs first so a coefficient with more than
-    DIVISOR_LIMIT divisors can only lose exotic candidates, never invent roots.
+    A root x is the x of a point of order p that is rational on the curve or
+    on its quadratic twist by the class of psi_2(x)^2, a curve over Q.
+    Mazur's torsion theorem (Publ. Math. IHES 47, 1977) allows no such point
+    for odd p outside TORSION_PRIMES, so no other f_p is built.
 
-    A rational root gives P with sigma(P) = +-P for every sigma, so <P> is
-    a rational p-isogeny: none exists (Mazur, Invent. Math. 44, 1978) for p
-    outside ISOGENY_PRIMES, whose polynomial of degree (p^2-1)/2 is skipped.
+    f_p has leading coefficient p and no repeated root, so each rational root
+    is a/p with a an integer root of F(a) = p^deg f_p(a/p), and |a| lies below
+    Cauchy's bound. At the first prime l != p where every root of F mod l is
+    simple, Newton's iteration lifts each of them to the one candidate mod
+    l^k > 2 bound, and one exact evaluation keeps or drops it. Only the
+    primes dividing p or the discriminant of F fail, so the search for l ends.
     """
-    if p not in ISOGENY_PRIMES:
+    if p not in TORSION_PRIMES:
         return []
-    from fractions import Fraction
-
-    coeffs = division_polynomial(model, p)
-    roots = set()
-    # strip x = 0 roots
-    shift = 0
-    while coeffs[0] == 0:
-        roots.add(Fraction(0))
-        coeffs = coeffs[1:]
-        shift += 1
-    lead, const = coeffs[-1], coeffs[0]
-    for x in range(-SMALL_ROOT_SCAN, SMALL_ROOT_SCAN + 1):
-        if _poly_eval_frac(coeffs, x) == 0:
-            roots.add(Fraction(x))
-    try:
-        num_divs = _divisors(abs(const))
-        den_divs = _divisors(abs(lead))
-        for a in num_divs:
-            for b in den_divs:
-                if math.gcd(a, b) != 1:
-                    continue
-                for cand in (Fraction(a, b), Fraction(-a, b)):
-                    if _poly_eval_frac(coeffs, cand) == 0:
-                        roots.add(cand)
-    except arith.ArithmeticError_:
-        pass  # more than DIVISOR_LIMIT divisors (_divisors); the scan already ran
+    f = division_polynomial(model, p)
+    deg = len(f) - 1
+    F = [c * p ** (deg - i) for i, c in enumerate(f)]
+    dF = [i * c for i, c in enumerate(F)][1:]
+    bound = 1 + max(map(abs, F))  # Cauchy: |a| <= 1 + max |F_i| / p
+    for ell in filter(arith.is_prime, itertools.count(2)):
+        residues = [r for r in range(ell) if _poly_eval(F, r, ell) == 0]
+        if ell != p and all(_poly_eval(dF, r, ell) for r in residues):
+            break
+    roots = []
+    for a in residues:
+        mod = ell
+        while mod <= 2 * bound:
+            mod *= mod  # a root mod l^j that F' keeps a unit lifts to one mod l^2j
+            a = (a - _poly_eval(F, a, mod) * pow(_poly_eval(dF, a, mod), -1, mod)) % mod
+        if a > mod // 2:
+            a -= mod
+        if _poly_eval(F, a) == 0:
+            roots.append(Fraction(a, p))
     return sorted(roots)
 
 
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    fac = arith.factor(n)
-    divs = [1]
-    for q, e in fac.items():
-        divs = [d * q**k for d in divs for k in range(e + 1)]
-        if len(divs) > DIVISOR_LIMIT:
-            raise ArithmeticError_("divisor explosion")
-    return divs
-
-
-def has_rational_point_with_x(model: WeierstrassModel, x) -> bool:
-    """Does some rational point of the curve have this x-coordinate?"""
+def has_rational_point_with_x(model: WeierstrassModel, x, d: int = 1) -> bool:
+    """Is x the x of a rational point on the twist by d, i.e. is psi_2(x)^2 * d a square?"""
     inv = curves.invariants(model)
-    disc = 4 * x**3 + inv.b2 * x * x + 2 * inv.b4 * x + inv.b6  # psi_2^2 at x
+    disc = (4 * x**3 + inv.b2 * x * x + 2 * inv.b4 * x + inv.b6) * d  # psi_2(x)^2 * d
     if disc < 0:
         return False
     num, den = disc.numerator, disc.denominator

@@ -287,8 +287,10 @@ class _Engine:
         """B(field)[n] = 0 and (J/B)(field)[n] = 0, via irreducibility first.
 
         A[p] = B[p] and J/B is isogenous to A, so irreducibility of A[p] over
-        the field covers every group involved. The fallback is a direct
-        rational p-torsion search through the quadratic twist decomposition.
+        the field covers every group involved. Without a witness, reducible
+        or not, the fallback reads the rational roots of f_p on A and on B by
+        twist class (`_torsion_search`): a reducible A[p] need not give a
+        point over the field.
         """
         if field in self._torsion:
             return self._torsion[field]
@@ -298,9 +300,6 @@ class _Engine:
             verdict = congruence.irreducible_mod_p(self.a_min, p, field)
             detail[str(p)] = verdict.to_json()
             if verdict.status == "Irreducible":
-                continue
-            if verdict.status == "ReducibleDetected":
-                status = FAILS
                 continue
             fallback = self._torsion_search(field, p)
             detail[str(p)]["fallback"] = fallback
@@ -316,25 +315,30 @@ class _Engine:
         return status, ev
 
     def _torsion_search(self, field, p) -> dict:
-        models = {"A": self.a_min, "B": self.b_min}
-        if field.kind == "quadratic":
-            d = arith.squarefree_part(field.disc)
+        """Rational p-torsion of A and B over Q, Q(sqrt d) or Q(mu_3).
+
+        A rational root x of f_p is the x of a point of order p that is
+        rational on E^D, D the class of psi_2(x)^2, and for odd p
+        E(Q(sqrt d))[p] = E(Q)[p] + E^d(Q)[p]. So each root found on the
+        curve's own minimal model counts when D is a class of the field:
+        {1} over Q, {1, d} over Q(sqrt d), {1, -3} over Q(mu_3).
+        """
+        if field.kind == "rationals":
+            classes = (1,)
+        elif field.kind == "quadratic":
+            classes = (1, arith.squarefree_part(field.disc))
         elif field.kind == "cyclotomic" and field.p == 3:
-            d = -3  # Q(mu_3) = Q(sqrt(-3))
-        elif field.kind == "rationals":
-            d = None
+            classes = (1, -3)  # Q(mu_3) = Q(sqrt(-3))
         else:
             return {"status": INCONCLUSIVE,
                     "note": f"no torsion decomposition over {field.describe()}"}
-        if d is not None:
-            models["A-twist"] = curves.minimal_model(curves.quadratic_twist(self.a_min, d))[0]
-            models["B-twist"] = curves.minimal_model(curves.quadratic_twist(self.b_min, d))[0]
         found = {}
-        for name, m in models.items():
+        for name, m in (("A", self.a_min), ("B", self.b_min)):
             pts = [
-                str(x)
+                {"x": str(x), "twist": d}
                 for x in congruence.rational_division_roots(m, p)
-                if congruence.has_rational_point_with_x(m, x)
+                for d in classes
+                if congruence.has_rational_point_with_x(m, x, d)
             ]
             if pts:
                 found[name] = pts

@@ -296,6 +296,26 @@ def test_verify_congruence_bound_past_the_point_count_cap(tmp_path, mode):
     }}
 
 
+def test_verify_improv_at_an_isogeny_prime_past_the_torsion_primes(tmp_path):
+    # 121a1 twisted by 5, and 121a1: a rational 11-isogeny, so no Frobenius
+    # witness exists and the torsion check falls back to rational roots of
+    # f_11, which Mazur's torsion theorem rules out unbuilt. The old divisor
+    # search ran for more than 30 s. A subprocess, so a hang fails the test
+    blob = {"schema_version": 1, "name": "improv-121-twist-11", "theorem": "improv", "p": 11,
+            "curve_a": [1, 0, 1, -751, -7977], "curve_b": [1, 1, 1, -30, -76]}
+    src = str(Path(shavis.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "shavis.cli", "verify", _write(tmp_path, blob)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=30)
+    assert done.returncode == 3, done.stderr
+    cert = json.loads(done.stdout[done.stdout.index("{"):])
+    (torsion,) = [v for v in cert["verdicts"] if v["id"] == "A.d"]
+    assert torsion["evidence"]["per_prime"]["11"] == {
+        "status": "Inconclusive", "note": "no witness below 1000, no rational p-torsion x",
+        "fallback": {"status": "holds", "note": "no rational 11-torsion on any factor"},
+    }
+
+
 def test_verify_partial_exits_4(capsys, tmp_path):
     blob = json.loads(bundled_scenario_path("ex_176_kummer7").read_text())
     blob["rank_records"] = []

@@ -1,10 +1,11 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shavis import arith, congruence, curves, fields, hecke, localdata
+from shavis import arith, congruence, curves, dataio, fields, hecke, localdata
 from shavis.congruence import (
     congruence_bound,
     division_polynomial,
@@ -16,6 +17,8 @@ from shavis.congruence import (
 )
 from shavis.curves import SingularCurveError, WeierstrassModel, invariants, quadratic_twist
 from shavis.localdata import conductor, curve_facts, residual_conductor
+from shavis.scenario import scenario_from_dict
+from shavis.visibility import _Engine
 
 
 def mu_oracle(n):
@@ -129,16 +132,212 @@ def test_rational_five_torsion_detected():
     assert has_rational_point_with_x(m2, Fraction(5))
 
 
-def test_no_rational_division_root_outside_the_isogeny_primes(monkeypatch):
-    # Mazur: no rational p-isogeny for p = 23, so no polynomial is built
+def test_no_rational_division_root_outside_the_torsion_primes(monkeypatch):
+    # a rational root is the x of a rational point of order p on a quadratic
+    # twist, a curve over Q: Mazur's torsion theorem leaves only p = 3, 5, 7,
+    # so no polynomial is built for any other p
     def refuse(model, n):
         raise AssertionError(f"built the {n}-division polynomial")
 
     monkeypatch.setattr(congruence, "division_polynomial", refuse)
     m = WeierstrassModel.from_list([0, -1, 1, 0, 0])
-    assert rational_division_roots(m, 23) == []
+    for p in (11, 13, 17, 163):
+        assert rational_division_roots(m, p) == []
     with pytest.raises(AssertionError):
         rational_division_roots(m, 5)
+
+
+def reference_rational_division_roots(model, p):
+    """The rational-root search rational_division_roots used to make: a scan
+    of |x| <= 200, then every a/b with a | constant term and b | leading
+    coefficient. The old search swallowed the give-up past 10^5 divisors;
+    this copy lets it raise, so a test never compares with a search that
+    stopped short. It tests a/b by the integer b^deg f(a/b), not in Fractions."""
+    coeffs = division_polynomial(model, p)
+    roots = set()
+    while coeffs[0] == 0:
+        roots.add(Fraction(0))
+        coeffs = coeffs[1:]
+    lead, const = coeffs[-1], coeffs[0]
+
+    def value(x):
+        a, b = x.numerator, x.denominator
+        acc = 0
+        for i, c in enumerate(reversed(coeffs)):
+            acc = acc * a + c * b**i
+        return acc
+
+    def divisors(n):
+        divs = [1]
+        for q, e in arith.factor(n).items():
+            divs = [d * q**k for d in divs for k in range(e + 1)]
+            if len(divs) > 100_000:
+                raise arith.ArithmeticError_("divisor explosion")
+        return divs
+
+    roots.update(Fraction(x) for x in range(-200, 201) if value(Fraction(x)) == 0)
+    for a in divisors(abs(const)):
+        for b in divisors(abs(lead)):
+            if math.gcd(a, b) == 1:
+                roots.update(c for c in (Fraction(a, b), Fraction(-a, b)) if value(c) == 0)
+    return sorted(roots)
+
+
+def psi2_squared(model, x):
+    """(2y + a1 x + a3)^2 at a point with this x-coordinate."""
+    inv = invariants(model)
+    return 4 * x**3 + inv.b2 * x * x + 2 * inv.b4 * x + inv.b6
+
+
+def point_with_x(model, x):
+    """A rational point with this x-coordinate: y = (sqrt(psi_2(x)^2) - a1 x - a3) / 2."""
+    a1, _, a3, _, _ = model.ainvs()
+    square = psi2_squared(model, x)
+    root = Fraction(math.isqrt(square.numerator), math.isqrt(square.denominator))
+    assert root * root == square
+    return (Fraction(x), (root - a1 * x - a3) / 2)
+
+
+def twist_class(model, x):
+    """The squarefree class of psi_2(x)^2: the twist on which x is rational."""
+    square = psi2_squared(model, x)
+    return arith.squarefree_part(square.numerator * square.denominator)
+
+
+def assert_roots_are_torsion(model, p, roots):
+    # every root in the class 1 is the x of a rational point P with p P = O
+    for x in roots:
+        assert has_rational_point_with_x(model, x) == (twist_class(model, x) == 1)
+        if twist_class(model, x) == 1:
+            pt = point_with_x(model, x)
+            assert dataio.point_on_curve(model, pt)
+            assert dataio.point_mul(model, p, pt) is None, (model, p, x)
+
+
+@st.composite
+def small_model_with_torsion_roots(draw):
+    """A small integral model, often one with rational 3- or 5-torsion (Tate's
+    normal forms y^2 + a1 x y + a3 y = x^3 and y^2 + (1 - t) x y - t y =
+    x^3 - t x^2), then often twisted, so its roots lie in other classes."""
+    kind = draw(st.sampled_from(["random", "three", "five"]))
+    if kind == "random":
+        ainvs = [draw(st.integers(0, 1)), draw(st.integers(-1, 1)), draw(st.integers(0, 1)),
+                 draw(st.integers(-30, 30)), draw(st.integers(-60, 60))]
+    elif kind == "three":
+        ainvs = [draw(st.integers(-4, 4)), 0, draw(st.integers(1, 6)), 0, 0]
+    else:
+        t = draw(st.integers(-6, 6))
+        ainvs = [1 - t, -t, -t, 0, 0]
+    m = WeierstrassModel.from_list(ainvs)
+    try:
+        invariants(m)
+    except SingularCurveError:
+        assume(False)
+    d = draw(st.sampled_from([1, -1, 2, -3, 5]))
+    return m if d == 1 else curves.minimal_model(quadratic_twist(m, d))[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_model_with_torsion_roots(), st.sampled_from([3, 5]))
+def test_rational_division_roots_match_the_divisor_search(m, p):
+    roots = rational_division_roots(m, p)
+    assert roots == reference_rational_division_roots(m, p)
+    assert_roots_are_torsion(m, p, roots)
+
+
+@pytest.mark.parametrize("ainvs, p", [
+    ([0, -1, 1, -10, -20], 5),  # 11a1: (5, 5) and (16, -61) of order 5
+    ([0, -1, 1, 0, 0], 5),  # 11a3: (0, 0) of order 5
+    ([1, 0, 1, 4, -6], 3),  # 14a1: (2, -5) of order 3
+    ([0, 0, 0, 0, 1], 3),  # y^2 = x^3 + 1: (0, +-1) of order 3
+    ([1, -1, 1, -3, 3], 7),  # 26b1: (1, 0) of order 7
+    ([1, 0, 1, -5, -8], 3),  # 26a1: 3-torsion, and the root -1/3 has denominator p
+])
+def test_rational_division_roots_on_curves_with_torsion(ainvs, p):
+    m = WeierstrassModel.from_list(ainvs)
+    roots = rational_division_roots(m, p)
+    assert roots and roots == reference_rational_division_roots(m, p)
+    assert_roots_are_torsion(m, p, roots)
+
+
+def test_rational_division_roots_past_the_divisor_limit():
+    # the constant term of f_5 has 140 608 divisors: the old search gave up
+    # and returned [], yet two roots exist, each rational on the twist by 195
+    m = WeierstrassModel.from_list([0, 0, 0, -6286800, -10989394000])
+    roots = rational_division_roots(m, 5)
+    assert roots == [3640, 12220]
+    for x in roots:
+        assert twist_class(m, x) == 195
+        assert has_rational_point_with_x(m, x, 195) and not has_rational_point_with_x(m, x)
+    # Tate's normal form y^2 + (1 - t) x y - t y = x^3 - t x^2 at t = 2310,
+    # minimalized: 8 688 768 divisors, and 443520 lies past the scan of +-200
+    tate = WeierstrassModel.from_list([1, 0, 0, -590127526065, 174488496241977225])
+    roots = rational_division_roots(tate, 5)
+    assert roots == [443520, 445830]
+    assert all(twist_class(tate, x) == 1 for x in roots)
+    assert_roots_are_torsion(tate, 5, roots)
+    verdict = irreducible_mod_p(tate, 5)
+    assert (verdict.status, verdict.torsion_x, verdict.note) == (
+        "ReducibleDetected", "443520", "rational point")
+
+
+@functools.lru_cache(maxsize=None)
+def cached_reference_roots(model, p):
+    return reference_rational_division_roots(model, p)
+
+
+def reference_torsion_search(eng, field, p):
+    """The fallback visibility._Engine._torsion_search used to run: the
+    reference root search on A, B and, over Q(sqrt d) or Q(mu_3), on the
+    minimal models of their twists by d, keeping the x of rational points."""
+    models = {"A": eng.a_min, "B": eng.b_min}
+    if field.kind == "quadratic":
+        d = arith.squarefree_part(field.disc)
+    elif field.kind == "cyclotomic" and field.p == 3:
+        d = -3
+    else:
+        d = None
+    if d is not None:
+        models["A-twist"] = curves.minimal_model(quadratic_twist(eng.a_min, d))[0]
+        models["B-twist"] = curves.minimal_model(quadratic_twist(eng.b_min, d))[0]
+    found = {}
+    for name, m in models.items():
+        pts = [str(x) for x in cached_reference_roots(m, p) if has_rational_point_with_x(m, x)]
+        if pts:
+            found[name] = pts
+    return {"status": "fails", "rational_p_torsion": found} if found else {"status": "holds"}
+
+
+# 11a1, 11a3, y^2 = x^3 + 1, y^2 = x^3 + 8 and 26b1
+TORSION_CURVES = [[0, -1, 1, -10, -20], [0, -1, 1, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 8],
+                  [1, -1, 1, -3, 3]]
+TWIST_FIELDS = {-1: fields.quadratic_field(-1), 2: fields.quadratic_field(2),
+                -3: fields.cyclotomic_field(3), 5: fields.quadratic_field(5)}
+
+
+def test_torsion_search_matches_the_four_model_search():
+    # each curve E and its twists E^t by t = -1, 2, -3, 5 over Q, and E and
+    # E^t over Q(sqrt t) (Q(mu_3) for t = -3), at p = 3, 5, 7, against B =
+    # 37a1: the subset on which the old search is fast. The statuses agree,
+    # and so do the curves with torsion, with A-twist and B-twist read as A
+    # and B, each x now on the curve's own model with its twist class
+    cases = []
+    for ainvs in TORSION_CURVES:
+        e = WeierstrassModel.from_list(ainvs)
+        twists = {t: curves.minimal_model(quadratic_twist(e, t))[0].int_ainvs() for t in TWIST_FIELDS}
+        cases += [(a, fields.RATIONALS, {1}) for a in (ainvs, *map(list, twists.values()))]
+        cases += [(a, f, {1, t}) for t, f in TWIST_FIELDS.items() for a in (ainvs, list(twists[t]))]
+    for p in (3, 5, 7):
+        for ainvs, field, classes in cases:
+            eng = _Engine(scenario_from_dict({
+                "schema_version": 1, "name": "torsion", "theorem": "improv", "p": p,
+                "curve_a": ainvs, "curve_b": [0, 0, 1, -1, 0], "options": {"congruence_bound": 10},
+            }))
+            new, old = eng._torsion_search(field, p), reference_torsion_search(eng, field, p)
+            assert new["status"] == old["status"], (ainvs, field.describe(), p)
+            found = new.get("rational_p_torsion", {})
+            assert set(found) == {name[0] for name in old.get("rational_p_torsion", {})}
+            assert all(pt["twist"] in classes for pts in found.values() for pt in pts)
 
 
 def test_irreducibility_with_witness(e1_52):

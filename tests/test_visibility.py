@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shavis import fields
 from shavis.localdata import curve_facts
 from shavis.scenario import bundled_scenario_path, load_bundled_scenario, scenario_from_dict
 from shavis.visibility import (
@@ -337,3 +338,43 @@ def test_editing_certificate_json_leaves_the_memo(dataset):
     _Engine(scn, dataset).locs_a.clear()
     assert _Engine(scn, dataset).locs_a == list(curve_facts(scn.curve_a).local_data) != []
 
+
+
+def improv_engine(curve_a, p):
+    """The engine of an improv scenario over Q with B = 37a1."""
+    return _Engine(scenario_from_dict({
+        "schema_version": 1, "name": "torsion", "theorem": "improv", "p": p,
+        "curve_a": curve_a, "curve_b": [0, 0, 1, -1, 0], "options": {"congruence_bound": 10},
+    }))
+
+
+def test_torsion_fallback_finds_five_torsion_past_the_divisor_limit():
+    # Tate's normal form at t = 2310, minimalized: P = (443520, .) has order 5.
+    # The old search gave up on the 8 688 768 divisors of f_5's constant term
+    # and said "holds"
+    eng = improv_engine([1, 0, 0, -590127526065, 174488496241977225], 5)
+    status, ev = eng.torsion_vanishes(fields.RATIONALS)
+    assert status == "fails"
+    detail = ev["per_prime"]["5"]
+    assert (detail["status"], detail["torsion_x"], detail["note"]) == (
+        "ReducibleDetected", "443520", "rational point")
+    assert detail["fallback"] == {"status": "fails", "rational_p_torsion": {
+        "A": [{"x": "443520", "twist": 1}, {"x": "445830", "twist": 1}]}}
+
+
+@pytest.mark.parametrize("field, status", [
+    (fields.RATIONALS, "holds"),
+    (fields.quadratic_field(5), "holds"),
+    (fields.quadratic_field(2), "fails"),
+    (fields.cyclotomic_field(3), "holds"),
+])
+def test_reducible_a_p_reads_the_torsion_by_twist_class(field, status):
+    # y^2 = x^3 + 8 at p = 3: A[3] is reducible, its one rational root x = 0
+    # has psi_2(0)^2 = 32 in the class 2, so the point of order 3 is rational
+    # on the twist by 2 only, and A has 3-torsion over Q(sqrt 2) alone
+    got, ev = improv_engine([0, 0, 0, 0, 8], 3).torsion_vanishes(field)
+    detail = ev["per_prime"]["3"]
+    assert detail["status"] == "ReducibleDetected" and detail["torsion_x"] == "0"
+    assert got == detail["fallback"]["status"] == status
+    if status == "fails":
+        assert detail["fallback"]["rational_p_torsion"] == {"A": [{"x": "0", "twist": 2}]}
