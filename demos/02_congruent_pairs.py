@@ -44,9 +44,11 @@ print("first mismatches:", [(m["q"], m["a_q_A"], m["a_q_B"]) for m in bad.mismat
 
 ###############################################################################
 # Irreducibility of the shared torsion, with a re-checkable witness prime.
+# The search reads the same facts: the conductor rules out the bad primes,
+# and a_q is counted on the minimal model.
 
 from shavis import irreducible_mod_p, quadratic_field
 
-verdict = irreducible_mod_p(E1, 5, quadratic_field(59))
+verdict = irreducible_mod_p(F1, 5, quadratic_field(59))
 print(f"\nE1[5] over Q(sqrt 59): {verdict.status}, witness prime {verdict.witness_prime} "
       f"with a_q = {verdict.witness_aq}")

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 from . import curves, dataio, localdata, scenario as scenario_mod, visibility
@@ -56,22 +57,17 @@ def _dump_json(blob) -> str:
 def cmd_inspect(args) -> int:
     try:
         model = curves.parse_curve(args.curve)
-        minimal, _ = curves.minimal_model(model)
-        inv = curves.invariants(minimal)
-        n, locs = localdata.conductor(minimal)
+        facts = localdata.curve_facts(model)
     except (curves.SingularCurveError, ArithmeticError_) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    n, locs, j = facts.conductor, facts.local_data, Fraction(facts.c4**3, facts.disc)
     exponents = {l.q: l.f for l in locs}  # N = prod q^f over the bad primes
     blob = {
         "input": [str(a) for a in model.ainvs()],
-        "minimal_model": [str(a) for a in minimal.int_ainvs()],
-        "invariants": {
-            "c4": str(inv.c4),
-            "c6": str(inv.c6),
-            "disc": str(inv.disc),
-            "j": str(inv.j),
-        },
+        "minimal_model": [str(a) for a in facts.minimal.int_ainvs()],
+        "invariants": {"c4": str(facts.c4), "c6": str(facts.c6), "disc": str(facts.disc),
+                       "j": str(j)},
         "conductor": n,
         "conductor_factorization": {str(q): f for q, f in exponents.items()},
         "local_data": [l.to_json() for l in locs],
@@ -80,9 +76,9 @@ def cmd_inspect(args) -> int:
         print(_dump_json(blob))
         return EXIT_OK
     print(f"curve     {model}")
-    print(f"minimal   {minimal}")
-    print(f"disc      {inv.disc}")
-    print(f"j         {inv.j}")
+    print(f"minimal   {facts.minimal}")
+    print(f"disc      {facts.disc}")
+    print(f"j         {j}")
     print(f"conductor {n}" + (f" = {_fact_str(exponents)}" if n > 1 else ""))
     if locs:
         print(f"{'q':>8} {'kodaira':>8} {'f':>3} {'c':>3} {'v(disc)':>8}  class")

@@ -302,6 +302,7 @@ class IrreducibilityVerdict:
     witness_aq: int | None = None
     torsion_x: str | None = None
     note: str = ""
+    roots: tuple[Fraction, ...] = ()  # of f_p when no witness was found; not in to_json
 
     def to_json(self) -> dict:
         out = {"status": self.status}
@@ -332,7 +333,7 @@ def frobenius_polynomial_irreducible(a_q: int, q: int, p: int) -> bool:
 
 
 def irreducible_mod_p(
-    model: WeierstrassModel,
+    facts: localdata.CurveFacts,
     p: int,
     field: fields.NumberFieldDescriptor = fields.RATIONALS,
 ) -> IrreducibilityVerdict:
@@ -342,26 +343,24 @@ def irreducible_mod_p(
     characteristic polynomial x^2 - a_q x + q is irreducible mod p. Failing
     that, a rational root of the p-division polynomial exhibits a stable line
     (reducible over Q, hence over any extension). Otherwise Inconclusive.
+    The curve comes as its `localdata.curve_facts`. A verdict without a
+    witness carries every rational root of f_p, for the torsion fallback.
     """
     if p == 2 or not arith.is_prime(p):
         raise ArithmeticError_(f"need an odd prime, got {p}")
-    n, _ = localdata.conductor(model)
-    minimal, _ = curves.minimal_model(model)  # once, not once per prime
     for q in arith.primes(WITNESS_SEARCH_BOUND):
-        if (p * n) % q == 0:
+        if (p * facts.conductor) % q == 0:
             continue
         if not _is_split_in(field, q):
             continue
-        aq = hecke.a_q_of_minimal(minimal, q).a_q
+        aq = hecke.a_q_of_minimal(facts.minimal, q).a_q
         if frobenius_polynomial_irreducible(aq, q, p):
             return IrreducibilityVerdict("Irreducible", witness_prime=q, witness_aq=aq)
-    roots = rational_division_roots(minimal, p)
+    roots = tuple(rational_division_roots(facts.minimal, p))
     if roots:
-        x0 = roots[0]
-        lifts = has_rational_point_with_x(minimal, x0)
+        lifts = has_rational_point_with_x(facts.minimal, roots[0])
         return IrreducibilityVerdict(
-            "ReducibleDetected",
-            torsion_x=str(x0),
+            "ReducibleDetected", torsion_x=str(roots[0]), roots=roots,
             note="rational point" if lifts else "stable {+-P} pair (x rational, y quadratic)",
         )
     return IrreducibilityVerdict(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import arith, curves, fields
@@ -451,16 +452,16 @@ class TamagawaVerdict:
 
 
 def is_p_unit_tamagawa(
-    local_data: list[LocalReductionData],
+    local_data: Sequence[LocalReductionData],
     p: int,
     field: fields.NumberFieldDescriptor,
     restrict_to: list[int] | None = None,
 ) -> TamagawaVerdict:
     """Are the Tamagawa numbers over `field` at these bad primes coprime to p?
 
-    Checks every entry of the local data (or those at `restrict_to`), as
-    `conductor` returns it. Returns offending primes, plus an inconclusive
-    list where the base-change rules refuse (ramified additive reduction).
+    Checks each entry of the local data (at `restrict_to` only, if set) as
+    `CurveFacts.local_data` or `conductor` gives it. Returns offending primes,
+    and as inconclusive those where base change is refused (ramified additive).
     """
     detail: dict[int, dict] = {}
     offending, inconclusive = [], []
@@ -488,7 +489,7 @@ def is_p_unit_tamagawa(
 
 
 def residual_conductor(
-    local_data: list[LocalReductionData], p: int
+    local_data: Sequence[LocalReductionData], p: int
 ) -> tuple[int, list[LocalReductionData]]:
     """Prime-to-p conductor Nbar of the mod-p representation of a semistable
     curve good at p, and the local data of the primes that drop from N.

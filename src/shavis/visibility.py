@@ -191,18 +191,13 @@ class _Engine:
     Every check returns (status, evidence); the theorem table supplies the
     ids. Twisted models, torsion verdicts and ranks are computed once, so a
     hypothesis and the conclusion that both consume one share a resolution.
-    The curve facts (`localdata.curve_facts`) and congruence certificates,
-    which do not depend on the target field, come from process-wide memos.
+    The frozen curve facts (`localdata.curve_facts`), its only view of A and
+    B, and the congruence certificates come from process-wide memos.
     """
 
     def __init__(self, scenario: VisibilityScenario, dataset: dataio.Dataset | None = None):
         self.s = scenario
-        fa, fb = localdata.curve_facts(scenario.curve_a), localdata.curve_facts(scenario.curve_b)
-        self.fa, self.fb = fa, fb
-        self.a_min, self.b_min = fa.minimal, fb.minimal
-        self.n_a, self.n_b = fa.conductor, fb.conductor
-        # lists of the engine's own: editing one cannot reach the memo
-        self.locs_a, self.locs_b = list(fa.local_data), list(fb.local_data)
+        self.fa, self.fb = map(localdata.curve_facts, (scenario.curve_a, scenario.curve_b))
         self.rank_uses: list[dict] = []
         self._ranks: dict = {}
         self._torsion: dict = {}
@@ -214,7 +209,7 @@ class _Engine:
         """Minimal models of A and B twisted by the quadratic target field."""
         d = arith.squarefree_part(self.s.target.disc)
         return tuple(curves.minimal_model(curves.quadratic_twist(m, d))[0]
-                     for m in (self.a_min, self.b_min))
+                     for m in (self.fa.minimal, self.fb.minimal))
 
     def rank(self, model: WeierstrassModel, field: fields.NumberFieldDescriptor):
         """Resolve a rank once; the certificate lists ranks in first-use order."""
@@ -273,7 +268,7 @@ class _Engine:
         return HOLDS if res["holds"] else FAILS, ev
 
     def coprime_to_bad_primes(self) -> tuple[str, dict]:
-        bad = sorted(set(l.q for l in self.locs_a) | set(l.q for l in self.locs_b))
+        bad = sorted(set(l.q for l in self.fa.local_data) | set(l.q for l in self.fb.local_data))
         g = math.gcd(self.s.n, math.prod(bad))
         ev = {
             "statement": f"gcd(n, N(L)) = 1 with N(L) from bad primes {bad}",
@@ -288,20 +283,20 @@ class _Engine:
 
         A[p] = B[p] and J/B is isogenous to A, so irreducibility of A[p] over
         the field covers every group involved. Without a witness, reducible
-        or not, the fallback reads the rational roots of f_p on A and on B by
-        twist class (`_torsion_search`): a reducible A[p] need not give a
-        point over the field.
+        or not, the fallback reads the rational roots of f_p on A, from the
+        verdict, and on B by twist class (`_torsion_search`): a reducible A[p]
+        need not give a point over the field.
         """
         if field in self._torsion:
             return self._torsion[field]
         detail = {}
         status = HOLDS
         for p in self.s.n_primes:
-            verdict = congruence.irreducible_mod_p(self.a_min, p, field)
+            verdict = congruence.irreducible_mod_p(self.fa, p, field)
             detail[str(p)] = verdict.to_json()
             if verdict.status == "Irreducible":
                 continue
-            fallback = self._torsion_search(field, p)
+            fallback = self._torsion_search(field, p, verdict.roots)
             detail[str(p)]["fallback"] = fallback
             if fallback["status"] == FAILS:
                 status = FAILS
@@ -314,11 +309,11 @@ class _Engine:
         self._torsion[field] = status, ev
         return status, ev
 
-    def _torsion_search(self, field, p) -> dict:
+    def _torsion_search(self, field, p, roots_a) -> dict:
         """Rational p-torsion of A and B over Q, Q(sqrt d) or Q(mu_3).
 
-        A rational root x of f_p is the x of a point of order p that is
-        rational on E^D, D the class of psi_2(x)^2, and for odd p
+        A rational root x of f_p (`roots_a` on A) is the x of a point of order
+        p that is rational on E^D, D the class of psi_2(x)^2, and for odd p
         E(Q(sqrt d))[p] = E(Q)[p] + E^d(Q)[p]. So each root found on the
         curve's own minimal model counts when D is a class of the field:
         {1} over Q, {1, d} over Q(sqrt d), {1, -3} over Q(mu_3).
@@ -333,10 +328,11 @@ class _Engine:
             return {"status": INCONCLUSIVE,
                     "note": f"no torsion decomposition over {field.describe()}"}
         found = {}
-        for name, m in (("A", self.a_min), ("B", self.b_min)):
+        roots_b = congruence.rational_division_roots(self.fb.minimal, p)
+        for name, m, roots in (("A", self.fa.minimal, roots_a), ("B", self.fb.minimal, roots_b)):
             pts = [
                 {"x": str(x), "twist": d}
-                for x in congruence.rational_division_roots(m, p)
+                for x in roots
                 for d in classes
                 if congruence.has_rational_point_with_x(m, x, d)
             ]
@@ -346,12 +342,12 @@ class _Engine:
             return {"status": FAILS, "rational_p_torsion": found}
         return {"status": HOLDS, "note": f"no rational {p}-torsion on any factor"}
 
-    def tamagawa(self, locs_a, locs_b, field, restrict=None) -> tuple[str, dict]:
+    def tamagawa(self, local_a, local_b, field, restrict=None) -> tuple[str, dict]:
         """n prime to the Tamagawa numbers over the field, from the local data
-        of the two curves."""
+        of the two curves (or of their twists)."""
         verdicts = {}
         status = HOLDS
-        for name, locs in (("A", locs_a), ("B", locs_b)):
+        for name, locs in (("A", local_a), ("B", local_b)):
             per_prime = {}
             for p in self.s.n_primes:
                 tv = localdata.is_p_unit_tamagawa(locs, p, field, restrict_to=restrict)
@@ -372,7 +368,7 @@ class _Engine:
 
     def irreducible(self) -> tuple[str, dict]:
         p, k = self.s.n, self.s.field_k
-        irr = congruence.irreducible_mod_p(self.a_min, p, k)
+        irr = congruence.irreducible_mod_p(self.fa, p, k)
         status = {"Irreducible": HOLDS, "ReducibleDetected": FAILS}.get(irr.status, INCONCLUSIVE)
         return status, {
             "statement": f"A[{p}] irreducible over {k.describe()}",
@@ -381,8 +377,8 @@ class _Engine:
 
     def rank_gap(self) -> tuple[str, dict]:
         k = self.s.field_k
-        rank_a = self.rank(self.a_min, k).rank
-        rank_b = self.rank(self.b_min, k).rank
+        rank_a = self.rank(self.fa.minimal, k).rank
+        rank_b = self.rank(self.fb.minimal, k).rank
         return HOLDS if rank_b > rank_a else FAILS, {
             "statement": f"rank B({k.describe()}) > rank A({k.describe()})",
             "rank_A": rank_a, "rank_B": rank_b,
@@ -391,11 +387,11 @@ class _Engine:
     def semistable_mod_p(self):
         """(name, N, (Nbar, dropped local data)) per curve; the last is None
         when the curve is not semistable or is bad at p."""
-        for name, n, locs in (("A", self.n_a, self.locs_a), ("B", self.n_b, self.locs_b)):
+        for name, f in (("A", self.fa), ("B", self.fb)):
             try:
-                yield name, n, localdata.residual_conductor(locs, self.s.n)
+                yield name, f.conductor, localdata.residual_conductor(f.local_data, self.s.n)
             except ArithmeticError_:
-                yield name, n, None
+                yield name, f.conductor, None
 
 
 def _uses_search_bound(record) -> bool:
@@ -438,7 +434,7 @@ def _gap_conclusion(eng: _Engine, model_a, model_b, field, claim: str) -> tuple[
 
 def _conclude_improv(eng: _Engine):
     k = eng.s.field_k
-    return _gap_conclusion(eng, eng.a_min, eng.b_min, k,
+    return _gap_conclusion(eng, eng.fa.minimal, eng.fb.minimal, k,
                            f"Vis_J(Sha(A/{k.describe()})) contains a subgroup")
 
 
@@ -455,25 +451,25 @@ def _conclude_quadratic(eng: _Engine):
 def _conclude_nontrivial(eng: _Engine):
     k, p = eng.s.field_k, eng.s.n
     return _gap_conclusion(
-        eng, eng.a_min, eng.b_min, k,
+        eng, eng.fa.minimal, eng.fb.minimal, k,
         f"Sha(A/{k.describe()}) contains an element of order {p}; visible subgroup",
     )
 
 
 def _good_at_p(eng: _Engine) -> tuple[str, dict]:
-    p = eng.s.n
-    good = eng.n_a % p != 0 and eng.n_b % p != 0
+    p, fa, fb = eng.s.n, eng.fa, eng.fb
+    good = fa.conductor % p != 0 and fb.conductor % p != 0
     return HOLDS if good else FAILS, {
         "statement": f"both curves have good reduction at {p}",
-        "N_A": eng.n_a, "N_B": eng.n_b,
+        "N_A": fa.conductor, "N_B": fb.conductor,
     }
 
 
 def _semistable(eng: _Engine) -> tuple[str, dict]:
-    semistable = all(l.f == 1 for l in (*eng.locs_a, *eng.locs_b))
+    semistable = all(l.f == 1 for l in (*eng.fa.local_data, *eng.fb.local_data))
     return HOLDS if semistable else FAILS, {
         "statement": "A and B are semistable (squarefree conductors)",
-        "N_A": eng.n_a, "N_B": eng.n_b,
+        "N_A": eng.fa.conductor, "N_B": eng.fb.conductor,
     }
 
 
@@ -523,7 +519,7 @@ def _conductor_equality(eng: _Engine) -> tuple[str, dict]:
         detail[name] = {"N": n, "Nbar": nbar}
         if nbar != n:
             status = FAILS
-    if status == HOLDS and eng.n_a != eng.n_b:
+    if status == HOLDS and eng.fa.conductor != eng.fb.conductor:
         status = FAILS
         detail["note"] = "conductors of A and B differ"
     return status, {
@@ -535,7 +531,7 @@ def _conductor_equality(eng: _Engine) -> tuple[str, dict]:
 def _kummer_ramification(eng: _Engine) -> tuple[str, dict]:
     """exten (i): e_v(M) divisible by p at primes dividing N/N_A."""
     p, kummer = eng.s.n, eng.s.target
-    extra = sorted(set(l.q for l in eng.locs_b) - set(l.q for l in eng.locs_a))
+    extra = sorted(set(l.q for l in eng.fb.local_data) - set(l.q for l in eng.fa.local_data))
     rami = {}
     ok = True
     for q in extra:
@@ -555,11 +551,17 @@ def _kummer_ramification(eng: _Engine) -> tuple[str, dict]:
 
 def _conclude_exten(eng: _Engine):
     """The kernel of the map is bounded through the Galois module structure
-    of A(M); the image has rank >= rank B(K) - that kernel bound."""
+    of A(M); the image has rank >= rank B(K) - that kernel bound. Gal(M/K)
+    acts on the rest of A(M) (x) Q through Q(zeta_p), so rank records are
+    rejected unless rank A(M) - rank A(K) is a non-negative multiple of p - 1."""
     s, p, kummer = eng.s, eng.s.n, eng.s.target
-    rank_a_k = eng.rank(eng.a_min, s.field_k).rank
-    rank_a_m = eng.rank(eng.a_min, kummer).rank
-    rank_b_k = eng.rank(eng.b_min, s.field_k).rank
+    rank_a_k = eng.rank(eng.fa.minimal, s.field_k).rank
+    rank_a_m = eng.rank(eng.fa.minimal, kummer).rank
+    rank_b_k = eng.rank(eng.fb.minimal, s.field_k).rank
+    if rank_a_m < rank_a_k or (rank_a_m - rank_a_k) % (p - 1):
+        raise ArithmeticError_(f"rank A({kummer.describe()}) = {rank_a_m} and rank A("
+                               f"{s.field_k.describe()}) = {rank_a_k}: their difference must "
+                               f"be a non-negative multiple of p - 1 = {p - 1}")
     kernel_rank = rank_a_k + (rank_a_m - rank_a_k) // (p - 1)
     image_rank = max(rank_b_k - kernel_rank, 0)
     gap = rank_b_k - rank_a_k
@@ -588,7 +590,7 @@ def _lie_layers(eng: _Engine) -> list[HypothesisVerdict]:
     p-units up the tower (unramified stability) or the decomposition group
     has Lie dimension >= 2."""
     p, tower = eng.s.n, eng.s.target
-    locs = {"A": {l.q: l for l in eng.locs_a}, "B": {l.q: l for l in eng.locs_b}}
+    locs = {"A": {l.q: l for l in eng.fa.local_data}, "B": {l.q: l for l in eng.fb.local_data}}
     out = []
     for q in sorted(set(locs["A"]) | set(locs["B"])):
         entry = {}
@@ -717,7 +719,7 @@ THEOREMS = {
         hypotheses=(
             *_ASSUMPTIONS,
             _TORSION_OVER_K,
-            ("I.tamagawa", lambda e: e.tamagawa(e.locs_a, e.locs_b, e.s.field_k)),
+            ("I.tamagawa", lambda e: e.tamagawa(e.fa.local_data, e.fb.local_data, e.s.field_k)),
         ),
         conclude=_conclude_improv,
     ),
@@ -755,8 +757,8 @@ THEOREMS = {
             *_ASSUMPTIONS,
             _TORSION_OVER_K,
             ("E.i", _kummer_ramification),
-            ("E.ii", lambda e: e.tamagawa(e.locs_a, e.locs_b, e.s.field_k,
-                                          restrict=sorted(l.q for l in e.locs_a))),
+            ("E.ii", lambda e: e.tamagawa(e.fa.local_data, e.fb.local_data, e.s.field_k,
+                                          restrict=sorted(l.q for l in e.fa.local_data))),
         ),
         conclude=_conclude_exten,
     ),

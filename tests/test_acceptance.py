@@ -199,9 +199,9 @@ def test_criterion_6_end_to_end_determinism(dataset):
 
 
 def test_criterion_7_irreducibility():
-    reducible = irreducible_mod_p(WeierstrassModel.from_list([0, -1, 1, 0, 0]), 5)
+    reducible = irreducible_mod_p(curve_facts(WeierstrassModel.from_list([0, -1, 1, 0, 0])), 5)
     m = WeierstrassModel.from_list(E1)
-    irr = irreducible_mod_p(m, 5, fields.quadratic_field(59))
+    irr = irreducible_mod_p(curve_facts(m), 5, fields.quadratic_field(59))
     ok = (
         reducible.status == "ReducibleDetected"
         and irr.status == "Irreducible"

@@ -40,6 +40,21 @@ def test_inspect_json(capsys):
     assert json.dumps(blob, indent=2, sort_keys=True) == out.strip()
 
 
+def test_inspect_json_of_a_non_minimal_model(capsys):
+    # [0,0,0,-584,5444] moved by u = 1/2, r = s = t = 1: everything but the
+    # echoed input is what the minimal model prints, j included
+    code, out, _ = run(capsys, "inspect", "--json", "[4,8,16,-9328,311040]")
+    assert code == 0
+    shown = json.loads(out)
+    code, out, _ = run(capsys, "inspect", "--json", "[0,0,0,-584,5444]")
+    assert code == 0
+    minimal = json.loads(out)
+    assert shown.pop("input") == ["4", "8", "16", "-9328", "311040"]
+    assert minimal.pop("input") == minimal["minimal_model"]
+    assert shown == minimal
+    assert minimal["invariants"]["j"] == "-86044336128/218491"  # c4^3/disc in lowest terms
+
+
 def test_inspect_singular_exits_2(capsys):
     code, _, err = run(capsys, "inspect", "[0,0,0,0,0]")
     assert code == 2
@@ -62,6 +77,7 @@ def test_inspect_soundness_guard_exits_5(capsys, monkeypatch):
     # a broken cubic root count makes Tate report I0* at 3 with c = 6: a bug
     # in the program, not bad input, so the guard must reach exit 5
     monkeypatch.setattr(localdata, "_cubic_root_count", lambda b, c, d, p: 5)
+    localdata.curve_facts.cache_clear()  # so Tate's algorithm runs on this curve
     code, _, err = run(capsys, "inspect", "[0,0,0,-9,0]")
     assert code == 5
     assert err.startswith("internal error: inconsistent local data") and "'c': 6" in err
@@ -314,6 +330,16 @@ def test_verify_improv_at_an_isogeny_prime_past_the_torsion_primes(tmp_path):
         "status": "Inconclusive", "note": "no witness below 1000, no rational p-torsion x",
         "fallback": {"status": "holds", "note": "no rational 11-torsion on any factor"},
     }
+
+
+def test_verify_kummer_rank_off_the_zeta_lattice_exits_2(capsys, tmp_path):
+    # rank A(M) = 1 over rank A(K) = 0 at p = 3: the part of A(M) that
+    # Gal(M/K) moves has even rank, so the record is bad input, not a bound
+    blob = json.loads(bundled_scenario_path("ex_176_kummer7").read_text())
+    blob["rank_records"][0]["rank"] = 1
+    code, _, err = run(capsys, "verify", _write(tmp_path, blob))
+    assert code == 2
+    assert err.startswith("error: rank A(Q(mu_3)(7^(1/3))) = 1 and rank A(Q(mu_3)) = 0")
 
 
 def test_verify_partial_exits_4(capsys, tmp_path):

@@ -124,8 +124,8 @@ def test_rational_five_torsion_detected():
     m = WeierstrassModel.from_list([0, -1, 1, 0, 0])
     roots = rational_division_roots(m, 5)
     assert Fraction(0) in roots
-    v = irreducible_mod_p(m, 5)
-    assert v.status == "ReducibleDetected"
+    v = irreducible_mod_p(curve_facts(m), 5)
+    assert v.status == "ReducibleDetected" and v.roots == (0, 1)
     # 11a1 carries a rational 5-torsion point as well: (5, 5)
     m2 = WeierstrassModel.from_list([0, -1, 1, -10, -20])
     assert Fraction(5) in rational_division_roots(m2, 5)
@@ -276,9 +276,10 @@ def test_rational_division_roots_past_the_divisor_limit():
     assert roots == [443520, 445830]
     assert all(twist_class(tate, x) == 1 for x in roots)
     assert_roots_are_torsion(tate, 5, roots)
-    verdict = irreducible_mod_p(tate, 5)
+    verdict = irreducible_mod_p(curve_facts(tate), 5)
     assert (verdict.status, verdict.torsion_x, verdict.note) == (
         "ReducibleDetected", "443520", "rational point")
+    assert verdict.roots == tuple(roots) and "roots" not in verdict.to_json()
 
 
 @functools.lru_cache(maxsize=None)
@@ -290,7 +291,7 @@ def reference_torsion_search(eng, field, p):
     """The fallback visibility._Engine._torsion_search used to run: the
     reference root search on A, B and, over Q(sqrt d) or Q(mu_3), on the
     minimal models of their twists by d, keeping the x of rational points."""
-    models = {"A": eng.a_min, "B": eng.b_min}
+    models = {"A": eng.fa.minimal, "B": eng.fb.minimal}
     if field.kind == "quadratic":
         d = arith.squarefree_part(field.disc)
     elif field.kind == "cyclotomic" and field.p == 3:
@@ -298,8 +299,8 @@ def reference_torsion_search(eng, field, p):
     else:
         d = None
     if d is not None:
-        models["A-twist"] = curves.minimal_model(quadratic_twist(eng.a_min, d))[0]
-        models["B-twist"] = curves.minimal_model(quadratic_twist(eng.b_min, d))[0]
+        models["A-twist"] = curves.minimal_model(quadratic_twist(eng.fa.minimal, d))[0]
+        models["B-twist"] = curves.minimal_model(quadratic_twist(eng.fb.minimal, d))[0]
     found = {}
     for name, m in models.items():
         pts = [str(x) for x in cached_reference_roots(m, p) if has_rational_point_with_x(m, x)]
@@ -333,7 +334,8 @@ def test_torsion_search_matches_the_four_model_search():
                 "schema_version": 1, "name": "torsion", "theorem": "improv", "p": p,
                 "curve_a": ainvs, "curve_b": [0, 0, 1, -1, 0], "options": {"congruence_bound": 10},
             }))
-            new, old = eng._torsion_search(field, p), reference_torsion_search(eng, field, p)
+            roots_a = rational_division_roots(eng.fa.minimal, p)
+            new, old = eng._torsion_search(field, p, roots_a), reference_torsion_search(eng, field, p)
             assert new["status"] == old["status"], (ainvs, field.describe(), p)
             found = new.get("rational_p_torsion", {})
             assert set(found) == {name[0] for name in old.get("rational_p_torsion", {})}
@@ -341,17 +343,17 @@ def test_torsion_search_matches_the_four_model_search():
 
 
 def test_irreducibility_with_witness(e1_52):
-    v = irreducible_mod_p(e1_52, 5, fields.quadratic_field(59))
-    assert v.status == "Irreducible"
+    v = irreducible_mod_p(curve_facts(e1_52), 5, fields.quadratic_field(59))
+    assert v.status == "Irreducible" and v.roots == ()
     assert arith.kronecker_symbol(236, v.witness_prime) == 1  # witness split in M
     assert recheck_witness(e1_52, 5, v)
     # 176 curve over Q(mu_3)
-    v2 = irreducible_mod_p(WeierstrassModel.from_list([0, 1, 0, -5, -13]), 3,
+    v2 = irreducible_mod_p(curve_facts(WeierstrassModel.from_list([0, 1, 0, -5, -13])), 3,
                            fields.cyclotomic_field(3))
     assert v2.status == "Irreducible"
     assert v2.witness_prime % 3 == 1
     with pytest.raises(fields.UnsupportedFieldError):
-        irreducible_mod_p(e1_52, 5, fields.kummer_layer(5, 7))
+        irreducible_mod_p(curve_facts(e1_52), 5, fields.kummer_layer(5, 7))
 
 
 def _residual(ainvs, p):
@@ -409,7 +411,7 @@ def test_sweeps_give_the_same_results_on_shown_and_minimal_pairs():
         a, b = WeierstrassModel.from_list(ainvs_a), WeierstrassModel.from_list(ainvs_b)
         min_a, min_b = curves.minimal_model(a)[0], curves.minimal_model(b)[0]
         reference = verify_congruence(curve_facts(min_a), curve_facts(min_b), p, mode="bounded-proof")
-        witness = irreducible_mod_p(min_a, p)
+        witness = irreducible_mod_p(curve_facts(min_a), p)
         for iso in SHOWN:
             shown_a, shown_b = curves.transform(a, iso), curves.transform(b, iso)
             cert = verify_congruence(curve_facts(shown_a), curve_facts(shown_b), p, mode="bounded-proof")
@@ -419,7 +421,7 @@ def test_sweeps_give_the_same_results_on_shown_and_minimal_pairs():
                 if "a_q_A" in c:
                     assert c["a_q_A"] == hecke.a_q(shown_a, c["q"]).a_q
                     assert c["a_q_B"] == hecke.a_q(shown_b, c["q"]).a_q
-            verdict = irreducible_mod_p(shown_a, p)
+            verdict = irreducible_mod_p(curve_facts(shown_a), p)
             assert verdict == witness, (ainvs_a, iso)
             assert verdict.witness_aq == hecke.a_q(shown_a, verdict.witness_prime).a_q
 
@@ -441,7 +443,7 @@ def test_sweeps_match_on_random_shown_pairs(a4, a6, b4, b6, p, iso):
     cert = verify_congruence(curve_facts(shown_a), curve_facts(shown_b), p, bound=40)
     assert cert == verify_congruence(curve_facts(min_a), curve_facts(min_b), p, bound=40)
     assert cert.to_json("full") == verify_congruence(curve_facts(ma), curve_facts(mb), p, bound=40).to_json("full")
-    assert irreducible_mod_p(shown_a, p) == irreducible_mod_p(min_a, p)
+    assert irreducible_mod_p(curve_facts(shown_a), p) == irreducible_mod_p(curve_facts(min_a), p)
 
 
 def test_sweep_makes_no_fraction_invariants_per_prime(invariants_calls):
@@ -473,14 +475,13 @@ def test_sweeps_minimalize_once_per_curve(minimal_model_calls, conductor_calls,
     cert = verify_congruence(fa, fb, 5, mode="bounded-proof")
     assert len(cert.primes_checked) > 20
     assert calls == [] and conductor_calls == [] and invariants_calls == []
-    # 11a1 has rational 5-torsion: no witness, so every prime below the bound is tried
-    e11 = WeierstrassModel.from_list([0, -1, 1, -10, -20])
+    # the witness search reads the facts too. 11a1 has rational 5-torsion: no
+    # witness, so every prime below the bound is tried
+    e11 = curve_facts(WeierstrassModel.from_list([0, -1, 1, -10, -20]))
     calls.clear()
     assert irreducible_mod_p(e11, 5).status == "ReducibleDetected"
-    assert calls == [e11, e11]
-    calls.clear()
-    assert irreducible_mod_p(e1_52, 5, fields.quadratic_field(59)).status == "Irreducible"
-    assert calls == [e1_52, e1_52]
+    assert irreducible_mod_p(fa, 5, fields.quadratic_field(59)).status == "Irreducible"
+    assert calls == [] and conductor_calls == []
 
 
 def _direct_a_q(model, q):

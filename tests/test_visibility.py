@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shavis import fields
+from shavis import congruence, curves, fields, localdata
+from shavis.arith import ArithmeticError_
 from shavis.localdata import curve_facts
 from shavis.scenario import bundled_scenario_path, load_bundled_scenario, scenario_from_dict
 from shavis.visibility import (
@@ -229,6 +231,17 @@ def test_exten_vacuous_statement_names_the_image_rank(dataset):
     assert c["statement"] == "no nontrivial lower bound (rank gap 0 <= 0)"
 
 
+@pytest.mark.parametrize("rank_a_k, rank_a_m", [(0, 1), (0, 3), (2, 0)])
+def test_exten_rejects_kummer_ranks_off_the_zeta_lattice(dataset, rank_a_k, rank_a_m):
+    # rank A(M) - rank A(K) is the Q-dimension of a Q(zeta_3)-space: it must be
+    # a non-negative multiple of p - 1 = 2, or the records are wrong
+    blob = json.loads(bundled_scenario_path("ex_176_kummer7").read_text())
+    blob["rank_records"][0]["rank"] = rank_a_m
+    blob["rank_records"][1]["rank"] = rank_a_k
+    with pytest.raises(ArithmeticError_, match="non-negative multiple of p - 1 = 2"):
+        verify_scenario(scenario_from_dict(blob), dataset)
+
+
 def test_lie_false_tate_dimension_branch(dataset):
     # 176/1232 pair in the false-Tate tower over Q(mu_3) with m = 7: the
     # offending prime 7 is certified by the dimension-2 branch
@@ -333,10 +346,17 @@ def test_editing_certificate_json_leaves_the_memo(dataset):
     second = verify_scenario(scenario_from_dict(twist_blob(pair, 13, "heuristic", "full")), dataset)
     after = second.to_json()["verdicts"][0]["evidence"]["congruence"]["5"]
     assert json.dumps(after, sort_keys=True) == before
-    # the engine's local-data lists are its own copies of the memoized tuple
+    # the engine hands out the memo's own facts: frozen, with a tuple of
+    # frozen local data, so no check can edit what the next scenario reads
     scn = scenario_from_dict(twist_blob(pair, 13))
-    _Engine(scn, dataset).locs_a.clear()
-    assert _Engine(scn, dataset).locs_a == list(curve_facts(scn.curve_a).local_data) != []
+    eng = _Engine(scn, dataset)
+    assert eng.fa is curve_facts(scn.curve_a) and eng.fb is curve_facts(scn.curve_b)
+    local = eng.fa.local_data
+    assert isinstance(local, tuple) and local
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        eng.fa.local_data = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        local[0].f = 0
 
 
 
@@ -360,6 +380,56 @@ def test_torsion_fallback_finds_five_torsion_past_the_divisor_limit():
         "ReducibleDetected", "443520", "rational point")
     assert detail["fallback"] == {"status": "fails", "rational_p_torsion": {
         "A": [{"x": "443520", "twist": 1}, {"x": "445830", "twist": 1}]}}
+
+
+def test_torsion_fallback_finds_the_roots_once_per_curve(monkeypatch):
+    # the fallback reads A's roots of f_5 from the verdict that sent it there
+    calls = []
+    real = congruence.rational_division_roots
+
+    def counting(model, p):
+        calls.append(model)
+        return real(model, p)
+
+    monkeypatch.setattr(congruence, "rational_division_roots", counting)
+    eng = improv_engine([1, 0, 0, -590127526065, 174488496241977225], 5)
+    assert eng.torsion_vanishes(fields.RATIONALS)[0] == "fails"
+    assert calls == [eng.fa.minimal, eng.fb.minimal]
+
+
+# a witness, a reducible A[5] with rational 5-torsion, and the fallback
+# after an inconclusive search (121a1 twisted by 5 has an 11-isogeny)
+WARM_CASES = [
+    ([0, 0, 0, 1, -10], 5, fields.quadratic_field(59), "holds",
+     {"status": "Irreducible", "witness_prime": 17, "witness_aq": 6}),
+    ([0, -1, 1, 0, 0], 5, fields.RATIONALS, "fails",
+     {"status": "ReducibleDetected", "torsion_x": "0", "note": "rational point",
+      "fallback": {"status": "fails", "rational_p_torsion": {
+          "A": [{"x": "0", "twist": 1}, {"x": "1", "twist": 1}]}}}),
+    ([1, 0, 1, -751, -7977], 11, fields.RATIONALS, "holds",
+     {"status": "Inconclusive", "note": "no witness below 1000, no rational p-torsion x",
+      "fallback": {"status": "holds", "note": "no rational 11-torsion on any factor"}}),
+]
+
+
+@pytest.mark.parametrize("curve_a, p, field, status, detail", WARM_CASES)
+def test_warm_engine_derives_no_curve_facts_again(monkeypatch, curve_a, p, field, status,
+                                                  detail):
+    # once the engine holds A's and B's facts, the irreducibility and torsion
+    # checks read them and minimalize nothing
+    eng = improv_engine(curve_a, p)
+
+    def refuse(*args):
+        raise AssertionError("re-derived a curve fact")
+
+    monkeypatch.setattr(curves, "minimal_model", refuse)
+    monkeypatch.setattr(localdata, "conductor", refuse)
+    monkeypatch.setattr(localdata, "conductor_of_minimal", refuse)
+    verdict = congruence.irreducible_mod_p(eng.fa, p, field)
+    expected = {k: v for k, v in detail.items() if k != "fallback"}
+    assert verdict.to_json() == expected
+    got, ev = eng.torsion_vanishes(field)
+    assert (got, ev["per_prime"]) == (status, {str(p): detail})
 
 
 @pytest.mark.parametrize("field, status", [
