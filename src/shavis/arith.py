@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 
 #: Distinguished valuation of 0 (larger than any finite valuation).
@@ -34,12 +35,27 @@ _EXTRA_WITNESSES = (
 
 
 class ArithmeticError_(ValueError):
-    """Invalid input to an arithmetic primitive (e.g. Kronecker with n = 0)."""
+    """Invalid input, to an arithmetic primitive (e.g. Kronecker with n = 0)
+    or to any reader: the base of every input-error class, which exits 2."""
 
 
 class SoundnessError(AssertionError):
     """A computed result broke a mathematical invariant: a bug, not bad input
     (raised explicitly, so it holds under `python -O`; the CLI exits 5)."""
+
+
+def decode(data: bytes | str, what: str, error: type[ArithmeticError_] = ArithmeticError_,
+           as_json: bool = True):
+    """Outside text as UTF-8, then (as_json) as JSON. Invalid UTF-8 or JSON,
+    nesting past the recursion limit and an integer literal past int's
+    4300-digit limit all raise `error`, with `what` in front."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        return json.loads(text) if as_json else text
+    except UnicodeDecodeError as exc:
+        raise error(f"{what}: not valid UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what}: not valid JSON: {exc}") from exc
 
 
 def valuation(n: int, q: int) -> int | float:

@@ -7,7 +7,9 @@ examples.
     shavis examples [NAME | --all] [--dataset PATH]
 
 Exit codes: 0 ok/certified, 2 input error, 3 hypothesis failure, 4 partial
-certificate (missing rank records or assertions), 5 internal error. Ranks
+certificate (missing rank records or assertions), 5 internal error. `main`
+alone maps errors to codes: an `OSError` or an `arith.ArithmeticError_`, the
+base of every input-error class, is exit 2; anything else is exit 5. Ranks
 come from the scenario's rank records, the curve dataset (the bundled one
 or --dataset PATH) or a point search, in that order.
 """
@@ -55,12 +57,8 @@ def _dump_json(blob) -> str:
 
 
 def cmd_inspect(args) -> int:
-    try:
-        model = curves.parse_curve(args.curve)
-        facts = localdata.curve_facts(model)
-    except (curves.SingularCurveError, ArithmeticError_) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    model = curves.parse_curve(args.curve)
+    facts = localdata.curve_facts(model)
     n, locs, j = facts.conductor, facts.local_data, Fraction(facts.c4**3, facts.disc)
     exponents = {l.q: l.f for l in locs}  # N = prod q^f over the bad primes
     blob = {
@@ -94,26 +92,13 @@ def _fact_str(exponents: dict[int, int]) -> str:
 
 
 def cmd_verify(args) -> int:
-    try:
-        scn = scenario_mod.load_scenario(args.scenario)
-        scn = replace(scn, mode=args.mode or scn.mode,
-                      evidence_level=args.evidence or scn.evidence_level)
-        dataset = dataio.load_dataset(args.dataset)
-    except (visibility.ScenarioError, dataio.DatasetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        cert = visibility.verify_scenario(scn, dataset)
-    except ArithmeticError_ as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    scn = scenario_mod.load_scenario(args.scenario)
+    scn = replace(scn, mode=args.mode or scn.mode,
+                  evidence_level=args.evidence or scn.evidence_level)
+    cert = visibility.verify_scenario(scn, dataio.load_dataset(args.dataset))
     payload = _dump_json(cert.to_json())
     if args.out:
-        try:
-            Path(args.out).write_text(payload + "\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        Path(args.out).write_text(payload + "\n")
         print(f"certificate written to {args.out}")
     else:
         print(payload)
@@ -129,8 +114,7 @@ def _print_summary(cert):
 
 
 def cmd_examples(args) -> int:
-    names = []
-    if args.name in (None, "all", "--all"):
+    if args.name in (None, "all"):
         names = list(scenario_mod.BUNDLED_SCENARIOS)
     elif args.name in EXAMPLE_GROUPS:
         names = EXAMPLE_GROUPS[args.name]
@@ -138,14 +122,8 @@ def cmd_examples(args) -> int:
         names = [args.name]
     else:
         known = sorted(EXAMPLE_GROUPS) + list(scenario_mod.BUNDLED_SCENARIOS)
-        print(f"error: unknown example {args.name!r}; known: {', '.join(known)}",
-              file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        dataset = dataio.load_dataset(args.dataset)
-    except (dataio.DatasetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise visibility.ScenarioError(f"unknown example {args.name!r}; known: {', '.join(known)}")
+    dataset = dataio.load_dataset(args.dataset)
     certs = [visibility.verify_scenario(scenario_mod.load_bundled_scenario(n), dataset)
              for n in names]
     ok = True
@@ -201,6 +179,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (ArithmeticError_, OSError) as exc:  # the one input-error rule
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -8,7 +8,6 @@ a global minimal model always has integer entries. All arithmetic is exact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,7 @@ from . import arith
 from .arith import ArithmeticError_, SoundnessError
 
 
-class SingularCurveError(ValueError):
+class SingularCurveError(ArithmeticError_):
     """Raised when a quintuple has discriminant zero."""
 
 
@@ -105,10 +104,7 @@ def parse_curve(value) -> WeierstrassModel:
     decimals or fraction strings, or that list as JSON text. Each entry is
     read from its decimal text, so 0.01 is 1/100, not the nearest float."""
     if isinstance(value, str):
-        try:
-            value = json.loads(value)
-        except json.JSONDecodeError as exc:
-            raise ArithmeticError_(f"curve {value!r} is not valid JSON: {exc}") from exc
+        value = arith.decode(value, f"curve {value!r}")
     if not isinstance(value, list) or len(value) != 5:
         raise ArithmeticError_(f"curve must be a 5-element list, got {value!r}")
     try:

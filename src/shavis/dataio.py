@@ -9,7 +9,6 @@ as a dataset file, whose every row `load_dataset` checks.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from .hecke import TORSION_MAX_ORDER, ModCurve
 SEARCH_HEIGHT = 2000
 
 
-class DatasetError(ValueError):
+class DatasetError(ArithmeticError_):
     """Malformed or inconsistent dataset content."""
 
 
@@ -131,7 +130,7 @@ def parse_dataset_line(line: str, lineno: int) -> CurveRecord:
         raise DatasetError(f"line {lineno}: expected 5 pipe-separated fields, got {len(parts)}")
     label, ainvs_s, cond_s, rank_s, tors_s = (p.strip() for p in parts)
     try:
-        ainvs = json.loads(ainvs_s)
+        ainvs = arith.decode(ainvs_s, "a-invariants", DatasetError)
         if not isinstance(ainvs, list) or any(
                 isinstance(a, bool) or not isinstance(a, int) for a in ainvs):
             raise DatasetError(f"a-invariants must be a list of integers, got {ainvs_s}")
@@ -144,7 +143,7 @@ def parse_dataset_line(line: str, lineno: int) -> CurveRecord:
             raise DatasetError(f"rank must be >= 0, got {rank}")
         if tors < 1:
             raise DatasetError(f"torsion order must be >= 1, got {tors}")
-    except ValueError as exc:  # DatasetError, ArithmeticError_ and SingularCurveError among them
+    except ValueError as exc:  # ArithmeticError_, and int() past its digit limit in _decimal
         raise DatasetError(f"line {lineno}: {exc}") from exc
     return CurveRecord(label, model, cond, rank, tors)
 
@@ -157,12 +156,9 @@ def load_dataset(path: str | Path | None = None) -> Dataset:
     with the label or the minimal model of an earlier one. Each row is
     minimalized once, for both checks.
     """
-    if path is None:
-        text = resources.files("shavis").joinpath("data/curves.dataset").read_text()
-        origin = "<bundled>"
-    else:
-        text = Path(path).read_text()
-        origin = str(path)
+    bundled = resources.files("shavis").joinpath("data/curves.dataset")
+    source, origin = (bundled, "<bundled>") if path is None else (Path(path), str(path))
+    text = arith.decode(source.read_bytes(), origin, DatasetError, as_json=False)
     dataset = Dataset()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -14,7 +14,7 @@ from . import arith
 from .arith import ArithmeticError_
 
 
-class UnsupportedFieldError(ValueError):
+class UnsupportedFieldError(ArithmeticError_):
     """Splitting data requested for a field/prime combination we refuse to guess."""
 
 
@@ -47,11 +47,17 @@ class NumberFieldDescriptor:
                 raise ArithmeticError_(f"kummer descriptor needs an odd prime, got {self.p}")
             if self.m <= 1:
                 raise ArithmeticError_(f"kummer radicand must exceed 1, got {self.m}")
-            for q, e in arith.factor(self.m).items():
+            exponents = arith.factor(self.m)
+            for q, e in exponents.items():
                 if q != self.p and e > 1:
                     raise ArithmeticError_(
                         f"kummer radicand {self.m} must be squarefree away from {self.p}"
                     )
+            if exponents.keys() == {self.p} and exponents[self.p] % self.p == 0:
+                raise ArithmeticError_(
+                    f"kummer radicand {self.m} = {self.p}^{exponents[self.p]} is a p-th power "
+                    f"for p = {self.p}, so the layer is Q(mu_{self.p}) itself"
+                )
         elif self.kind != "rationals":
             raise ArithmeticError_(f"unknown field kind {self.kind!r}")
 

@@ -31,7 +31,7 @@ NONSPLIT_MULT = "nonsplit-mult"
 ADDITIVE = "additive"
 
 
-class UnsupportedBaseChangeError(ValueError):
+class UnsupportedBaseChangeError(ArithmeticError_):
     """Tamagawa base change we refuse to guess (ramified additive case)."""
 
 

@@ -10,11 +10,10 @@ any computation, and names the offending key or value.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 from pathlib import Path
 
-from . import dataio, fields
+from . import arith, dataio, fields
 from .curves import parse_curve
 from .visibility import ScenarioError, VisibilityScenario
 
@@ -52,6 +51,8 @@ def scenario_from_dict(blob: dict) -> VisibilityScenario:
         raise ScenarioError("scenario must be a JSON object")
     if blob.get("schema_version") != 1:
         raise ScenarioError(f"unsupported schema_version {blob.get('schema_version')!r}")
+    if "p" in blob and "n" in blob:
+        raise ScenarioError("scenario gives both 'p' and 'n'; give one")
     n = blob.get("p", blob.get("n"))
     if n is None:
         raise ScenarioError("scenario needs 'p' (or 'n')")
@@ -105,12 +106,10 @@ def scenario_from_dict(blob: dict) -> VisibilityScenario:
         raise ScenarioError(str(exc)) from exc
 
 
-def load_scenario(path: str | Path) -> VisibilityScenario:
-    try:
-        blob = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
-    return scenario_from_dict(blob)
+def load_scenario(path) -> VisibilityScenario:
+    """The scenario in a file, given by its path or as a bundled resource."""
+    source = Path(path) if isinstance(path, str) else path
+    return scenario_from_dict(arith.decode(source.read_bytes(), str(path), ScenarioError))
 
 
 def bundled_scenario_path(name: str):
@@ -122,5 +121,4 @@ def bundled_scenario_path(name: str):
 
 
 def load_bundled_scenario(name: str) -> VisibilityScenario:
-    blob = json.loads(bundled_scenario_path(name).read_text())
-    return scenario_from_dict(blob)
+    return load_scenario(bundled_scenario_path(name))

@@ -37,7 +37,7 @@ TOOL_NAME = "shavis"
 TOOL_VERSION = "0.1.0"
 
 
-class ScenarioError(ValueError):
+class ScenarioError(ArithmeticError_):
     """Scenario file fails validation before any computation runs."""
 
 

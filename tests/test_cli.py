@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import shavis
-from shavis import localdata
+from shavis import arith, curves, dataio, fields, localdata, visibility
 from shavis.cli import main
 from shavis.scenario import bundled_scenario_path
 
@@ -376,7 +376,9 @@ def test_examples_single(capsys):
 
 
 def test_examples_unknown(capsys):
-    assert run(capsys, "examples", "nope")[0] == 2
+    code, _, err = run(capsys, "examples", "nope")
+    assert code == 2
+    assert err.startswith("error: unknown example 'nope'; known: 176, 203, 493, ex1, ex5, ")
 
 
 @pytest.mark.parametrize("content, message", [
@@ -463,3 +465,127 @@ def test_verify_fuzzed_scenario_never_exits_5(place, junk):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["verify", str(path), "--out", str(Path(tmp) / "cert.json")])
     assert code in {0, 2, 3, 4}, err.getvalue()
+
+
+# ---- text no reader can decode: exit 2 with an error line, never exit 5
+
+DEEP = "[" * 20000 + "]" * 20000  # nested past the recursion limit
+LONG = "7" * 4301  # one digit past int's limit for decimal text
+
+
+def _scenario_with(raw: bytes, key="p", name="ex1_quadratic_59") -> bytes:
+    """A bundled scenario as bytes, with the raw text `raw` as the value of key."""
+    blob = json.loads(bundled_scenario_path(name).read_text())
+    blob[key] = "@"
+    return json.dumps(blob).encode().replace(b'"@"', raw)
+
+
+def test_verify_non_utf8_scenario_exits_2(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(_scenario_with(b'"ex1 \xff"', key="name"))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("raw, message", [
+    pytest.param(DEEP.encode(), "maximum recursion depth exceeded", id="nested"),
+    pytest.param(LONG.encode(), "Exceeds the limit (4300 digits)", id="long-p"),
+])
+def test_verify_scenario_past_the_decoder_limits_exits_2(capsys, tmp_path, raw, message):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(_scenario_with(raw))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path}: not valid JSON: {message}")
+
+
+@pytest.mark.parametrize("curve, message", [
+    pytest.param(DEEP, "maximum recursion depth exceeded", id="nested"),
+    pytest.param(f"[0,0,0,0,{LONG}]", "Exceeds the limit (4300 digits)", id="long-a6"),
+])
+def test_inspect_past_the_decoder_limits_exits_2(capsys, curve, message):
+    code, _, err = run(capsys, "inspect", curve)
+    assert code == 2
+    assert err.startswith("error: curve '") and f"': not valid JSON: {message}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", str(bundled_scenario_path("ex1_quadratic_59"))], ["examples", "ex1"],
+])
+def test_non_utf8_dataset_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "curves.dataset"
+    path.write_bytes(b"ex1.E1|[0,0,0,1,-10]|52|0|2\n# \xff\n")
+    code, _, err = run(capsys, *command, "--dataset", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path}: not valid UTF-8")
+
+
+def test_dataset_row_nested_too_deep_exits_2(capsys, tmp_path):
+    path = tmp_path / "curves.dataset"
+    path.write_text(f"x|{DEEP}|11|0|1\n")
+    code, _, err = run(capsys, "examples", "ex1", "--dataset", str(path))
+    assert code == 2
+    assert err.startswith("error: line 1: a-invariants: not valid JSON: maximum recursion depth")
+
+
+def test_verify_p_and_n_both_given_exits_2(capsys, tmp_path):
+    # it once ran with p = 5 and ignored n
+    path = tmp_path / "scenario.json"
+    path.write_bytes(_scenario_with(b"7", key="n"))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err == "error: scenario gives both 'p' and 'n'; give one\n"
+
+
+def test_verify_kummer_target_over_a_pth_power_exits_2(capsys, tmp_path):
+    # Q(mu_3)(27^(1/3)) is Q(mu_3): no Kummer layer to see Sha in
+    path = tmp_path / "scenario.json"
+    path.write_bytes(_scenario_with(b'{"kind": "kummer", "p": 3, "m": 27}', key="target",
+                                    name="ex_176_kummer7"))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error: bad kummer field") and "27 = 3^3 is a p-th power" in err
+
+
+def test_every_input_error_class_is_one_family():
+    for cls in (visibility.ScenarioError, dataio.DatasetError, curves.SingularCurveError,
+                fields.UnsupportedFieldError, localdata.UnsupportedBaseChangeError):
+        assert issubclass(cls, arith.ArithmeticError_), cls
+    assert not issubclass(arith.SoundnessError, arith.ArithmeticError_)
+
+
+#: Outside text at and past the decoder's limits: random bytes, lists nested
+#: 10^4 to 10^5 deep, and integer literals of 4301 to 6000 digits.
+RAW = st.one_of(
+    st.binary(max_size=24),
+    st.integers(10**4, 10**5).map(lambda n: b"[" * n + b"]" * n),
+    st.integers(4301, 6000).map(lambda n: b"9" * n),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reader=st.sampled_from(["scenario", "dataset", "inspect"]), whole=st.booleans(),
+       place=st.sampled_from(PLACES), raw=RAW)
+@example(reader="scenario", whole=True, place="p", raw=b"\xff")
+@example(reader="dataset", whole=False, place="p", raw=b"[" * 10**5 + b"]" * 10**5)
+@example(reader="inspect", whole=False, place="p", raw=b"9" * 4301)
+def test_cli_fuzzed_bytes_never_exit_5(reader, whole, place, raw):
+    """`raw` as the whole input, or spliced into a valid one: into the
+    scenario at `place`, as the a-invariants of a dataset row, as a6."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        if reader == "scenario":
+            blob = json.dumps(fuzzed_scenario(place, "@")).encode()
+            path.write_bytes(raw if whole else blob.replace(b'"@"', raw))
+            argv = ["verify", str(path), "--out", str(Path(tmp) / "cert.json")]
+        elif reader == "dataset":
+            path.write_bytes(raw if whole else b"x|" + raw + b"|11|0|1\n")
+            argv = ["examples", "ex1", "--dataset", str(path)]
+        else:  # an argument reaches the program as the OS decodes it
+            text = raw.decode("utf-8", "surrogateescape")
+            argv = ["inspect", text if whole else f"[0,0,0,0,{text}]"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in {0, 2, 3, 4}, err.getvalue()[:2000]

@@ -107,6 +107,45 @@ def test_efg_product_is_degree():
             assert s.e * s.f * s.g == field.degree, (field, q)
 
 
+def test_kummer_radicand_that_is_a_pth_power_is_rejected():
+    # 27 = 3^3 is a cube, so Q(mu_3)(27^(1/3)) is Q(mu_3), of degree 2, not 6
+    for p, m in ((3, 27), (3, 729), (5, 5**5), (7, 7**14)):
+        with pytest.raises(arith.ArithmeticError_, match=f"{m} = {p}\\^"):
+            kummer_layer(p, m)
+    # a power of p off the multiples of p, or one with another prime, is kept
+    assert kummer_layer(3, 9).degree == kummer_layer(3, 3 * 27).degree == 6
+    assert kummer_layer(5, 2 * 5**5).degree == 20
+
+
+#: Every supported field kind, from a prime p and an integer a that picks
+#: the quadratic discriminant or the Kummer radicand.
+FIELD_KINDS = {
+    "rationals": lambda p, a: RATIONALS,
+    "quadratic": lambda p, a: quadratic_field(a),
+    "cyclotomic": lambda p, a: cyclotomic_field(p),
+    "kummer": lambda p, a: kummer_layer(p, abs(a)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(FIELD_KINDS)),
+    st.sampled_from([3, 5, 7, 11, 13]),
+    st.integers(-3000, 3000),
+    st.sampled_from(list(arith.primes(200))),
+)
+def test_efg_product_is_degree_for_every_supported_field(kind, p, a, q):
+    try:
+        field = FIELD_KINDS[kind](p, a)
+    except arith.ArithmeticError_:
+        return  # not a field of that kind: a square d, or a bad radicand
+    try:
+        s = splitting_data(field, q)
+    except UnsupportedFieldError:
+        return  # q = p in a Kummer layer
+    assert s.e * s.f * s.g == field.degree, (field, q, s)
+
+
 @settings(max_examples=220, deadline=None)
 @given(
     st.sampled_from([-3, 5, -7, 12, 13, 236, -4, 8, 892]),
