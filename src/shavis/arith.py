@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 
 #: Distinguished valuation of 0 (larger than any finite valuation).
 INFINITY = math.inf
@@ -56,6 +57,26 @@ def decode(data: bytes | str, what: str, error: type[ArithmeticError_] = Arithme
         raise error(f"{what}: not valid UTF-8: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise error(f"{what}: not valid JSON: {exc}") from exc
+
+
+def digit_limit() -> int:
+    """Python's limit on the decimal digits of int text (`str(int)`,
+    `int(str)`), 4300 unless the interpreter sets another. With no limit (0,
+    or a Python without one) it reads as 4300, so input stays bounded."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+@functools.lru_cache(maxsize=1)
+def _ten_to(n: int) -> int:
+    return 10**n
+
+
+def check_digits(n: int, what: str) -> None:
+    """Refuse n when its decimal text passes digit_limit(): there `str(n)`
+    raises a bare ValueError, and this an ArithmeticError_ about `what`."""
+    limit = digit_limit()
+    if abs(n) >= _ten_to(limit):
+        raise ArithmeticError_(f"{what} has more than {limit} decimal digits")
 
 
 def valuation(n: int, q: int) -> int | float:

@@ -23,7 +23,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from . import curves, dataio, localdata, scenario as scenario_mod, visibility
+from . import arith, curves, dataio, localdata, scenario as scenario_mod, visibility
 from .arith import ArithmeticError_
 
 EXIT_OK = 0
@@ -60,6 +60,12 @@ def cmd_inspect(args) -> int:
     model = curves.parse_curve(args.curve)
     facts = localdata.curve_facts(model)
     n, locs, j = facts.conductor, facts.local_data, Fraction(facts.c4**3, facts.disc)
+    # refused before any output: str() fails past the digit limit (j's
+    # denominator divides the discriminant)
+    for what, value in (("the minimal model", max(map(abs, facts.minimal.int_ainvs()))),
+                        ("c4", facts.c4), ("c6", facts.c6), ("the discriminant", facts.disc),
+                        ("j", j.numerator), ("the conductor", n)):
+        arith.check_digits(value, what)
     exponents = {l.q: l.f for l in locs}  # N = prod q^f over the bad primes
     blob = {
         "input": [str(a) for a in model.ainvs()],

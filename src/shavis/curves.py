@@ -108,9 +108,22 @@ def parse_curve(value) -> WeierstrassModel:
     if not isinstance(value, list) or len(value) != 5:
         raise ArithmeticError_(f"curve must be a 5-element list, got {value!r}")
     try:
-        return WeierstrassModel.from_list([Fraction(str(v)) for v in value])
+        return WeierstrassModel.from_list([_coefficient(str(v)) for v in value])
     except (ValueError, ZeroDivisionError) as exc:
         raise ArithmeticError_(f"bad curve coefficients {value!r}: {exc}") from exc
+
+
+def _coefficient(text: str) -> Fraction:
+    """Fraction(text), refused when its numerator or denominator passes
+    arith.digit_limit(). An exponent alone that far out is refused before
+    the power of ten is built: 1e20000 would cost a 20001-digit integer."""
+    limit = arith.digit_limit()
+    _, e, exponent = text.lower().rpartition("e")
+    if e and abs(int(exponent)) > limit + len(text):
+        raise ArithmeticError_(f"coefficient {text!r}: exponent past the {limit}-digit limit")
+    x = Fraction(text)
+    arith.check_digits(max(abs(x.numerator), x.denominator), f"coefficient {text!r}")
+    return x
 
 
 def bc_invariants(a):

@@ -7,13 +7,18 @@ model y^2 = x^3 + Ax + B with A = -27 c4, B = -54 c6 mod q. Below the naive
 threshold one O(q) kernel counts it: a table of square-root counts summed
 over the values (x*x + A)*x + B, and a sweep builds that table once per
 prime for both of its curves. q = 2 and 3 list the affine pairs. Above the
-threshold a baby-step giant-step search (Mestre style, with deterministic
-point selection so runs repeat) finds, for each point, every N in the Hasse
-interval that kills it. Its baby steps are keyed by x, so one step stands
-for +-j, and a point of small order ends the search among them. The count
-is the one N left in all these sets; after a few points of the curve, the
-points of its quadratic twist (#E + #E' = 2q + 2) and of the curve take
-turns.
+threshold, NAIVE_LIMIT = 400, a baby-step giant-step search (Mestre style,
+with deterministic point selection so runs repeat) finds, for each point,
+every N in the Hasse interval that kills it. Its baby steps are keyed by x,
+so one step stands for +-j, and a point of small order ends the search
+among them. The count is the one N left in all these sets; after a few
+points of the curve, the points of its quadratic twist (#E + #E' = 2q + 2)
+and of the curve take turns.
+The threshold is where BSGS overtakes the table in a sweep, which counts
+both curves of a pair with one table per prime: over the bundled pairs the
+two cost the same at q = 350-450, and BSGS is faster at every prime above
+500. It must stay >= 230, since only for q > 229 do the point orders of E
+and E' leave one candidate (Mestre; Cremona and Sutherland, JTNB 22, 2010).
 ModCurve is the one mod-q group law: the order search runs on it, and so do
 the torsion filters of the rational point search in dataio.
 Bad primes use the standard rules: +-1 for multiplicative reduction, 0 for
@@ -31,7 +36,7 @@ from . import arith, curves, localdata
 from .arith import ArithmeticError_, SoundnessError
 from .curves import WeierstrassModel
 
-NAIVE_LIMIT = 10_000
+NAIVE_LIMIT = 400  # the table counts q <= NAIVE_LIMIT, BSGS the primes above
 HARD_LIMIT = 10_000_000
 TORSION_MAX_ORDER = 12  # Mazur bound over Q
 TWIST_AFTER = 4  # points of E that BSGS tries before it counts the twist too

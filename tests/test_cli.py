@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -510,6 +512,35 @@ def test_inspect_past_the_decoder_limits_exits_2(capsys, curve, message):
     assert err.startswith("error: curve '") and f"': not valid JSON: {message}" in err
 
 
+#: The product of the primes from 5 to 5197, 2218 digits: the minimal
+#: discriminant of y^2 = x^3 + BIG_P, -432 BIG_P^2, has more than 4300.
+BIG_P = math.prod(q for q in arith.primes(5197) if q >= 5)
+
+
+@pytest.mark.parametrize("curve, message", [
+    pytest.param(f"[0,0,0,0,{BIG_P}]", "the discriminant has more than 4300 decimal digits",
+                 id="disc"),
+    pytest.param('[0,0,0,0,"1e4400"]', "exponent past the 4300-digit limit", id="1e4400"),
+    pytest.param('[0,0,0,0,"1e20000"]', "exponent past the 4300-digit limit", id="1e20000"),
+    pytest.param('[0,0,0,0,"-2e-4400"]', "exponent past the 4300-digit limit", id="-2e-4400"),
+    pytest.param('[0,0,0,0,"1e4300"]', "coefficient '1e4300' has more than 4300 decimal digits",
+                 id="1e4300"),
+])
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+def test_inspect_past_the_digit_limit_exits_2(capsys, curve, message, form):
+    # output Python cannot print is refused before any is printed
+    code, out, err = run(capsys, "inspect", *form, curve)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_coefficients_within_the_digit_limit_parse_exactly():
+    # 10^4299 has 4300 digits, the most the limit allows
+    assert curves.parse_curve('[0,0,0,0,"1e4299"]').a6 == 10**4299
+    assert curves.parse_curve('[0,0,0,1,"1.5e3"]').a6 == 1500
+    assert curves.parse_curve(["0.25e-2", 0, 0, 1, 1]).a1 == Fraction(1, 400)
+
+
 @pytest.mark.parametrize("command", [
     ["verify", str(bundled_scenario_path("ex1_quadratic_59"))], ["examples", "ex1"],
 ])
@@ -556,11 +587,13 @@ def test_every_input_error_class_is_one_family():
 
 
 #: Outside text at and past the decoder's limits: random bytes, lists nested
-#: 10^4 to 10^5 deep, and integer literals of 4301 to 6000 digits.
+#: 10^4 to 10^5 deep, integer literals of 4301 to 6000 digits, and decimal
+#: strings with exponents near and past 4300.
 RAW = st.one_of(
     st.binary(max_size=24),
     st.integers(10**4, 10**5).map(lambda n: b"[" * n + b"]" * n),
     st.integers(4301, 6000).map(lambda n: b"9" * n),
+    st.integers(4290, 10**6).map(lambda n: b'"7e%d"' % n),
 )
 
 
@@ -570,6 +603,7 @@ RAW = st.one_of(
 @example(reader="scenario", whole=True, place="p", raw=b"\xff")
 @example(reader="dataset", whole=False, place="p", raw=b"[" * 10**5 + b"]" * 10**5)
 @example(reader="inspect", whole=False, place="p", raw=b"9" * 4301)
+@example(reader="scenario", whole=False, place="curve_b", raw=b'"1e4400"')
 def test_cli_fuzzed_bytes_never_exit_5(reader, whole, place, raw):
     """`raw` as the whole input, or spliced into a valid one: into the
     scenario at `place`, as the a-invariants of a dataset row, as a6."""

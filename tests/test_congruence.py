@@ -1,6 +1,8 @@
 import functools
+import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,7 +19,7 @@ from shavis.congruence import (
 )
 from shavis.curves import SingularCurveError, WeierstrassModel, invariants, quadratic_twist
 from shavis.localdata import conductor, curve_facts, residual_conductor
-from shavis.scenario import scenario_from_dict
+from shavis.scenario import bundled_scenario_path, scenario_from_dict
 from shavis.visibility import _Engine
 
 
@@ -540,3 +542,28 @@ def test_prepared_sweep_matches_the_raw_path(pair):
         expected = [hecke.a_q(m, q).a_q for m in pair]
         assert expected == [_direct_a_q(f.minimal, q) for f in facts], q
         assert list(hecke.good_a_q(q, *facts)) == swept.get(q, expected) == expected, q
+
+
+def test_ex5_heuristic_sweep_to_3000_matches_the_table_kernel():
+    # past hecke.NAIVE_LIMIT the sweep counts with BSGS; every a_q it compares
+    # is the table kernel's, on both sides and at the level-lowering primes
+    blob = json.loads(bundled_scenario_path("ex5_cyclotomic_tower").read_text())
+    fa, fb = (curve_facts(curves.parse_curve(blob[k])) for k in ("curve_a", "curve_b"))
+
+    def table_a_q(f, q):
+        A, B = -27 * f.c4 % q, -54 * f.c6 % q
+        return q + 1 - hecke._count_residues(A, B, q, hecke._square_counts(q))
+
+    with mock.patch.object(hecke, "_count_bsgs", wraps=hecke._count_bsgs) as bsgs:
+        cert = verify_congruence(fa, fb, blob["p"], mode="heuristic", bound=3000)
+    assert cert.verdict == "verified" and bsgs.called
+    compared = 0
+    for c in cert.comparisons:
+        q = c["q"]
+        if q > 3 and "a_q_A" in c:
+            assert [c["a_q_A"], c["a_q_B"]] == [table_a_q(fa, q), table_a_q(fb, q)], q
+            compared += 1
+        elif q > 3:
+            side = fb if fa.disc % q == 0 else fa
+            assert c["a_q_good"] == table_a_q(side, q), q
+    assert compared > 400

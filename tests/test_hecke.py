@@ -5,11 +5,17 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from shavis import arith, curves, hecke, localdata
 from shavis.curves import WeierstrassModel
 from shavis.hecke import a_q, count_nonsingular_points
+
+#: The primes on each side of the switch from the table kernel to BSGS: the
+#: three largest primes the table counts and the three smallest above them.
+NEAR_NAIVE_LIMIT = tuple(sorted(arith.primes(hecke.NAIVE_LIMIT)))[-3:]
+BSGS_PRIMES = tuple(itertools.islice(
+    filter(arith.is_prime, itertools.count(hecke.NAIVE_LIMIT + 1)), 3))
 
 
 def test_count_points_spec_examples():
@@ -63,9 +69,8 @@ def test_bsgs_agrees_with_naive(e1_52):
         A, B = -27 * c4 % q, -54 * c6 % q
         count = hecke._count_residues(A, B, q, hecke._square_counts(q))
         assert hecke._count_bsgs(A, B, q) == count, (m, q)
-    rec = a_q(e1_52, 10007)
-    assert rec.method == "bsgs"
-    assert a_q(e1_52, 9973).method == "naive-count"
+    assert a_q(e1_52, BSGS_PRIMES[0]).method == "bsgs"
+    assert a_q(e1_52, NEAR_NAIVE_LIMIT[-1]).method == "naive-count"
     assert a_q(cm43, 10111) == hecke.ApRecord(10111, 201, "bsgs")
 
 
@@ -142,6 +147,22 @@ def test_bsgs_agrees_with_the_residue_count(q, a, b):
     A, B = a % q, b % q
     assume((4 * A**3 + 27 * B * B) % q)
     assert hecke._count_bsgs(A, B, q) == hecke._count_residues(A, B, q, hecke._square_counts(q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([q for q in range(230, 10_000) if arith.is_prime(q)]),
+       st.integers(0, 10**6), st.integers(0, 10**6))
+@example(233, 1, 1)
+def test_bsgs_agrees_with_the_residue_count_below_10_4(q, a, b):
+    # BSGS counts every prime above NAIVE_LIMIT, and it is proven from q > 229 on
+    A, B = a % q, b % q
+    assume((4 * A**3 + 27 * B * B) % q)
+    assert hecke._count_bsgs(A, B, q) == hecke._count_residues(A, B, q, hecke._square_counts(q))
+
+
+def test_naive_limit_stays_where_bsgs_is_proven():
+    # below 230 the point orders of E and its twist may leave two candidates
+    assert isinstance(hecke.NAIVE_LIMIT, int) and hecke.NAIVE_LIMIT >= 230
 
 
 def test_bsgs_takes_turns_when_the_points_leave_the_order_open():
@@ -291,8 +312,6 @@ integral = st.builds(
     WeierstrassModel.from_list,
     st.lists(st.integers(-400, 400), min_size=5, max_size=5),
 )
-NEAR_NAIVE_LIMIT = (9949, 9967, 9973)
-BSGS_PRIMES = (10007, 10009, 10037)
 
 
 @settings(max_examples=20, deadline=None)
@@ -322,7 +341,8 @@ def test_integer_path_matches_the_fraction_reference(model):
 def test_a_q_of_minimal_makes_no_fraction_invariants(invariants_calls, e1_52):
     minimal, _ = curves.minimal_model(e1_52)
     invariants_calls.clear()
-    methods = [hecke.a_q_of_minimal(minimal, q).method for q in (3, 5, 9973, 10007)]
+    qs = (3, 5, NEAR_NAIVE_LIMIT[-1], BSGS_PRIMES[0])
+    methods = [hecke.a_q_of_minimal(minimal, q).method for q in qs]
     assert methods == ["naive-count"] * 3 + ["bsgs"]
     assert invariants_calls == []
 
