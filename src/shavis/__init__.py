@@ -11,7 +11,6 @@ proved; every certificate records the provenance of the ranks it consumed.
 from .curves import Isomorphism, WeierstrassModel, invariants, minimal_model, quadratic_twist
 from .localdata import (
     CurveFacts,
-    LocalFieldExtension,
     LocalReductionData,
     conductor,
     curve_facts,

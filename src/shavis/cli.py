@@ -53,7 +53,22 @@ EXAMPLE_GROUPS = {
 
 
 def _dump_json(blob) -> str:
+    """The blob as JSON text, once every int in it has passed
+    `arith.check_digits`: past the digit limit json.dumps would raise a bare
+    ValueError, and an output that large comes from an input that large."""
+    _check_ints(blob, "output")
     return json.dumps(blob, indent=2, sort_keys=True)
+
+
+def _check_ints(node, where: str) -> None:
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_ints(value, f"{where}.{key}")
+    elif isinstance(node, (list, tuple)):
+        for i, value in enumerate(node):
+            _check_ints(value, f"{where}[{i}]")
+    elif isinstance(node, int):
+        arith.check_digits(node, where)
 
 
 def cmd_inspect(args) -> int:

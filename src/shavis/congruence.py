@@ -353,7 +353,7 @@ def irreducible_mod_p(
             continue
         if not _is_split_in(field, q):
             continue
-        aq = hecke.a_q_of_minimal(facts.minimal, q).a_q
+        aq, = hecke.good_a_q(q, facts)
         if frobenius_polynomial_irreducible(aq, q, p):
             return IrreducibilityVerdict("Irreducible", witness_prime=q, witness_aq=aq)
     roots = tuple(rational_division_roots(facts.minimal, p))

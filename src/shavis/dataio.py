@@ -3,12 +3,15 @@ search, and rank resolution with provenance tracking.
 
 Ranks are the one hypothesis this package cannot prove. Every resolved rank
 carries its provenance tier (user > dataset > point-search), and a point
-search only ever asserts a lower bound. An outside rank table comes in only
-as a dataset file, whose every row `load_dataset` checks.
+search only ever asserts a lower bound, which `RankRecord.lower_bound_only`
+reports. A rank query is keyed once, by `model_key`, for the user records
+and for the dataset's `by_model` index alike. An outside rank table comes in
+only as a dataset file, whose every row `load_dataset` checks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -47,6 +50,12 @@ class RankRecord:
     witness_points: tuple = ()
     summands: tuple = ()
 
+    @property
+    def lower_bound_only(self) -> bool:
+        """Is the rank only a lower bound: a point search's, or a sum with one?"""
+        return self.provenance == "point-search-lower-bound" or any(
+            s.lower_bound_only for s in self.summands)
+
     def to_json(self) -> dict:
         out = {
             "curve": [str(a) for a in self.model.ainvs()],
@@ -83,8 +92,8 @@ def model_key(model: WeierstrassModel) -> str:
 
 
 class Dataset:
-    """In-memory curve table indexed by label and by minimal model, with one
-    row per label and per minimal model."""
+    """In-memory curve table indexed by label and by minimal model (`by_model`,
+    keyed by `model_key`), with one row per label and per minimal model."""
 
     def __init__(self):
         self.records: list[CurveRecord] = []
@@ -105,9 +114,6 @@ class Dataset:
         self.records.append(rec)
         self.by_label[rec.label] = rec
         self.by_model[key] = rec
-
-    def lookup_model(self, model: WeierstrassModel) -> CurveRecord | None:
-        return self.by_model.get(model_key(model))
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -399,7 +405,7 @@ def _select_independent(model, pts: list[Point], window: int,
         trial = chosen + [pt]
         trial_tables = [tabs + [multiples(mc, pt, w)] for mc, tabs in zip(filters, tables)]
         dependent = False
-        for coeffs in _iter_coeffs(k, w):
+        for coeffs in itertools.product(range(-w, w + 1), repeat=k):
             if coeffs[-1] == 0:
                 continue  # relations not involving the new point were already excluded
             plausible = True
@@ -422,22 +428,6 @@ def _select_independent(model, pts: list[Point], window: int,
                 [multiples(mc, q, 5 * window) for q in chosen] for mc in filters
             ]
     return chosen
-
-
-def _iter_coeffs(k: int, window: int):
-    rng = range(-window, window + 1)
-    if k == 1:
-        for a in rng:
-            yield (a,)
-    elif k == 2:
-        for a in rng:
-            for b in rng:
-                yield (a, b)
-    else:
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    yield (a, b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +454,18 @@ def rank_over(
 ) -> RankRecord:
     """Resolve the Mordell-Weil rank of the model over the field.
 
-    Over Q: direct lookup through the source tiers. Over a quadratic field:
-    rank(E/Q) + rank(E^d/Q), both summands resolved recursively (the standard
-    twist decomposition). Anything else must come from a user record.
+    Over Q: direct lookup through the source tiers, all read with one
+    `model_key` of the model. Over a quadratic field: rank(E/Q) + rank(E^d/Q),
+    both summands resolved recursively (the standard twist decomposition). Anything else must come from a user record.
     """
-    user = sources.user_records.get((model_key(model), field))
+    key = model_key(model)
+    user = sources.user_records.get((key, field))
     if user is not None:
         return user
     if field.kind == "rationals":
-        if sources.dataset is not None:
-            hit = sources.dataset.lookup_model(model)
-            if hit is not None:
-                return RankRecord(model, field, hit.rank, "dataset")
+        hit = sources.dataset.by_model.get(key) if sources.dataset is not None else None
+        if hit is not None:
+            return RankRecord(model, field, hit.rank, "dataset")
         pts, bound = point_search(model, SEARCH_HEIGHT)
         return RankRecord(model, field, bound, "point-search-lower-bound",
                           witness_points=tuple(pts))

@@ -1,15 +1,17 @@
 """Fourier coefficients a_q via point counting over prime fields.
 
-Each a_q computes the minimal model's integer c-invariants and discriminant
-once, with no Fraction; a sweep reads them off the curve's CurveFacts. The
-discriminant decides good reduction. At q >= 5, c4 and c6 give the short
-model y^2 = x^3 + Ax + B with A = -27 c4, B = -54 c6 mod q. Below the naive
-threshold one O(q) kernel counts it: a table of square-root counts summed
-over the values (x*x + A)*x + B, and a sweep builds that table once per
-prime for both of its curves. q = 2 and 3 list the affine pairs. Above the
-threshold, NAIVE_LIMIT = 400, a baby-step giant-step search (Mestre style,
-with deterministic point selection so runs repeat) finds, for each point,
-every N in the Hasse interval that kills it. Its baby steps are keyed by x,
+`a_q` takes any model: it minimalizes it once and computes the minimal
+model's integer c-invariants and discriminant, with no Fraction. A curve
+already prepared as CurveFacts goes through `good_a_q` at its good primes,
+which reads them off the facts. The discriminant decides good reduction.
+At q >= 5, c4 and c6 give the short model y^2 = x^3 + Ax + B with
+A = -27 c4, B = -54 c6 mod q. Below the naive threshold one O(q) kernel
+counts it: a table of square-root counts summed over the values
+(x*x + A)*x + B, and a sweep builds that table once per prime for both of
+its curves. q = 2 and 3 list the affine pairs. Above the threshold,
+NAIVE_LIMIT = 400, a baby-step giant-step search (Mestre style, with
+deterministic point selection so runs repeat) finds, for each point, every
+N in the Hasse interval that kills it. Its baby steps are keyed by x,
 so one step stands for +-j, and a point of small order ends the search
 among them. The count is the one N left in all these sets; after a few
 points of the curve, the points of its quadratic twist (#E + #E' = 2q + 2)
@@ -333,17 +335,9 @@ def count_nonsingular_points(model: WeierstrassModel, q: int) -> int:
 
 def a_q(model: WeierstrassModel, q: int) -> ApRecord:
     """The Fourier coefficient a_q, with the counting method recorded."""
-    return a_q_of_minimal(curves.minimal_model(model)[0], q)
-
-
-def a_q_of_minimal(minimal: WeierstrassModel, q: int) -> ApRecord:
-    """a_q of a global minimal model, as `a_q` gives it for any model.
-
-    A sweep over many primes minimalizes its curve once and calls this at
-    each of them; `a_q` is this behind one `minimal_model` call.
-    """
     if not arith.is_prime(q):
         raise ArithmeticError_(f"{q} is not prime")
+    minimal = curves.minimal_model(model)[0]
     _, _, _, _, c4, c6, disc = curves.bc_invariants(minimal.int_ainvs())
     if disc % q:
         return _a_q_good(minimal, c4, c6, q)

@@ -5,8 +5,9 @@ integer quintuples with exact divisibility checks at every step; it loops on
 non-minimal input, so the reported data always refers to the local minimal
 model. Extension-field Tamagawa numbers are never recomputed by re-running
 Tate over a bigger ring: they follow from the standard behavior of the
-component group under base change, with an explicit refusal (Unsupported)
-for ramified base change at additive primes.
+component group under base change, read off the (e, f) that
+`fields.splitting_data` gives at the prime, with an explicit refusal
+(Unsupported) for ramified base change at additive primes.
 
 `curve_facts` gathers what the layers above read of one curve (its minimal
 model, integer c-invariants and discriminant, conductor and local data) into
@@ -71,19 +72,6 @@ class LocalReductionData:
     def from_json(cls, blob: dict) -> "LocalReductionData":
         return cls(blob["q"], blob["kodaira"], blob["f"], blob["c"],
                    blob["v_delta"], blob["class"])
-
-
-@dataclass(frozen=True)
-class LocalFieldExtension:
-    """Local behavior of an extension field at a residue characteristic."""
-
-    residue_char: int
-    e: int
-    f: int
-
-    def __post_init__(self):
-        if self.e < 1 or self.f < 1:
-            raise ArithmeticError_("ramification/residue degrees must be >= 1")
 
 
 def _check(ok: bool, p: int) -> None:
@@ -378,8 +366,9 @@ def component_count(kodaira: str) -> int:
     return {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}[kodaira]
 
 
-def tamagawa_over_extension(local: LocalReductionData, ext: LocalFieldExtension) -> int:
-    """Tamagawa number after local base change with data (e, f).
+def tamagawa_over_extension(local: LocalReductionData, split: fields.SplittingData) -> int:
+    """Tamagawa number after local base change with the (e, f) of `split`, the
+    splitting data of the extension at the prime of `local`.
 
     Good: 1. Multiplicative I_n: type becomes I_(e*n); split stays split, and
     nonsplit becomes split exactly when the residue extension has even degree.
@@ -387,11 +376,7 @@ def tamagawa_over_extension(local: LocalReductionData, ext: LocalFieldExtension)
     rational point count over the bigger residue field follows from the shape
     recorded by Tate. Additive with e > 1 is refused.
     """
-    if ext.residue_char != local.q:
-        raise ArithmeticError_(
-            f"extension residue characteristic {ext.residue_char} != prime {local.q}"
-        )
-    e, f = ext.e, ext.f
+    e, f = split.e, split.f
     if local.reduction_class == GOOD:
         return 1
     if local.reduction_class == SPLIT_MULT:
@@ -425,12 +410,6 @@ def tamagawa_over_extension(local: LocalReductionData, ext: LocalFieldExtension)
     if local.c == 4:
         return 4
     return 4 if f % 2 == 0 else 2
-
-
-def extension_at(field: fields.NumberFieldDescriptor, q: int) -> LocalFieldExtension:
-    """The completion of `field` at a prime above q, for `tamagawa_over_extension`."""
-    split = fields.splitting_data(field, q)
-    return LocalFieldExtension(q, split.e, split.f)
 
 
 @dataclass(frozen=True)
@@ -469,10 +448,10 @@ def is_p_unit_tamagawa(
         q = local.q
         if restrict_to is not None and q not in restrict_to:
             continue
-        ext = extension_at(field, q)
-        entry = {"local": local.to_json(), "e": ext.e, "f": ext.f}
+        split = fields.splitting_data(field, q)
+        entry = {"local": local.to_json(), "e": split.e, "f": split.f}
         try:
-            c_ext = tamagawa_over_extension(local, ext)
+            c_ext = tamagawa_over_extension(local, split)
             entry["c_over_field"] = c_ext
             if c_ext % p == 0:
                 offending.append(q)

@@ -151,6 +151,12 @@ class VisibilityCertificate:
         }
 
 
+def _worst(statuses) -> str:
+    """The status of a check made of parts: FAILS beats INCONCLUSIVE beats
+    HOLDS, and a check with no parts holds."""
+    return max(statuses, key=(HOLDS, INCONCLUSIVE, FAILS).index, default=HOLDS)
+
+
 def _overall(verdicts) -> str:
     statuses = {v.status for v in verdicts}
     if FAILS in statuses:
@@ -289,8 +295,7 @@ class _Engine:
         """
         if field in self._torsion:
             return self._torsion[field]
-        detail = {}
-        status = HOLDS
+        detail, statuses = {}, []
         for p in self.s.n_primes:
             verdict = congruence.irreducible_mod_p(self.fa, p, field)
             detail[str(p)] = verdict.to_json()
@@ -298,10 +303,8 @@ class _Engine:
                 continue
             fallback = self._torsion_search(field, p, verdict.roots)
             detail[str(p)]["fallback"] = fallback
-            if fallback["status"] == FAILS:
-                status = FAILS
-            elif fallback["status"] == INCONCLUSIVE and status == HOLDS:
-                status = INCONCLUSIVE
+            statuses.append(fallback["status"])
+        status = _worst(statuses)
         ev = {
             "statement": f"B({field.describe()})[n] = 0 and (J/B)({field.describe()})[n] = 0",
             "per_prime": detail,
@@ -345,24 +348,21 @@ class _Engine:
     def tamagawa(self, local_a, local_b, field, restrict=None) -> tuple[str, dict]:
         """n prime to the Tamagawa numbers over the field, from the local data
         of the two curves (or of their twists)."""
-        verdicts = {}
-        status = HOLDS
+        verdicts, statuses = {}, []
         for name, locs in (("A", local_a), ("B", local_b)):
             per_prime = {}
             for p in self.s.n_primes:
                 tv = localdata.is_p_unit_tamagawa(locs, p, field, restrict_to=restrict)
                 per_prime[str(p)] = tv.to_json()
-                if tv.offending:
-                    status = FAILS
-                elif tv.inconclusive and status != FAILS:
-                    status = INCONCLUSIVE
+                statuses.append(FAILS if tv.offending else INCONCLUSIVE if tv.inconclusive
+                                else HOLDS)
             verdicts[name] = per_prime
         ev = {
             "statement": f"n coprime to all Tamagawa numbers over {field.describe()}"
             + (f" at primes dividing {restrict}" if restrict else ""),
             "curves": verdicts,
         }
-        return status, ev
+        return _worst(statuses), ev
 
     # ---- the order-p (nontrivial) theorems
 
@@ -394,16 +394,10 @@ class _Engine:
                 yield name, f.conductor, None
 
 
-def _uses_search_bound(record) -> bool:
-    if record.provenance == "point-search-lower-bound":
-        return True
-    return any(_uses_search_bound(s) for s in record.summands)
-
-
 def _degrade_search_rank(conclusion: dict, overall: str, *a_side_records) -> str:
     """A point-search rank is a lower bound, but the kernel bound n^rank(A)
     needs an upper bound on the A-side rank: degrade to partial and say so."""
-    if any(_uses_search_bound(r) for r in a_side_records):
+    if any(r.lower_bound_only for r in a_side_records):
         conclusion["caveat"] = (
             "rank of A resolved only as a point-search lower bound; the kernel "
             "bound needs an upper bound, so supply a proved rank record"
@@ -481,12 +475,11 @@ def _nonsplit_drop(eng: _Engine) -> tuple[str, dict]:
     """nontrivial1 (a): primes dropping from the mod-p conductor must be
     non-split multiplicative over K."""
     field_k = eng.s.field_k
-    detail = {}
-    status = HOLDS
+    detail, statuses = {}, []
     for name, n, residual in eng.semistable_mod_p():
         if residual is None:
             detail[name] = _not_semistable()
-            status = INCONCLUSIVE if status == HOLDS else status
+            statuses.append(INCONCLUSIVE)
             continue
         nbar, dropped = residual
         entry = {"N": n, "Nbar": nbar, "dropped_primes": [l.q for l in dropped]}
@@ -499,26 +492,25 @@ def _nonsplit_drop(eng: _Engine) -> tuple[str, dict]:
         ]
         if bad:
             entry["split_at"] = bad
-            status = FAILS
+            statuses.append(FAILS)
         detail[name] = entry
-    return status, {
+    return _worst(statuses), {
         "statement": "primes dividing N/Nbar are non-split multiplicative over K",
         "curves": detail,
     }
 
 
 def _conductor_equality(eng: _Engine) -> tuple[str, dict]:
-    detail = {}
-    status = HOLDS
+    detail, statuses = {}, []
     for name, n, residual in eng.semistable_mod_p():
         if residual is None:
             detail[name] = _not_semistable()
-            status = INCONCLUSIVE if status == HOLDS else status
+            statuses.append(INCONCLUSIVE)
             continue
         nbar = residual[0]
         detail[name] = {"N": n, "Nbar": nbar}
-        if nbar != n:
-            status = FAILS
+        statuses.append(FAILS if nbar != n else HOLDS)
+    status = _worst(statuses)
     if status == HOLDS and eng.fa.conductor != eng.fb.conductor:
         status = FAILS
         detail["note"] = "conductors of A and B differ"
@@ -603,7 +595,7 @@ def _lie_layers(eng: _Engine) -> list[HypothesisVerdict]:
                 continue
             try:
                 c = localdata.tamagawa_over_extension(
-                    by_q[q], localdata.extension_at(tower.base, q))
+                    by_q[q], fields.splitting_data(tower.base, q))
                 entry[name] = {"c_over_base": c}
                 units = units and c % p != 0
             except localdata.UnsupportedBaseChangeError as exc:

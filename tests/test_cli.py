@@ -534,6 +534,20 @@ def test_inspect_past_the_digit_limit_exits_2(capsys, curve, message, form):
     assert err.startswith("error: ") and message in err
 
 
+def test_verify_certificate_past_the_digit_limit_exits_2(capsys, tmp_path):
+    # ex1 with B = y^2 = x^3 + BIG_P: the congruence bound of the pair has
+    # more than 4300 digits, so the certificate is refused, not printed
+    blob = json.loads(bundled_scenario_path("ex1_quadratic_59").read_text())
+    blob["curve_b"] = [0, 0, 0, 0, BIG_P]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(blob))
+    cert = tmp_path / "cert.json"
+    code, out, err = run(capsys, "verify", str(path), "--out", str(cert))
+    assert (code, out, cert.exists()) == (2, "", False)
+    assert err == ("error: output.verdicts[0].evidence.congruence.5.bound has more "
+                   "than 4300 decimal digits\n")
+
+
 def test_coefficients_within_the_digit_limit_parse_exactly():
     # 10^4299 has 4300 digits, the most the limit allows
     assert curves.parse_curve('[0,0,0,0,"1e4299"]').a6 == 10**4299

@@ -28,7 +28,7 @@ def test_bundled_dataset_loads(dataset):
     rec = dataset.by_label["ex1.E1"]
     assert rec.conductor == 52 and rec.rank == 0
     assert any(r.conductor == 11 for r in dataset.records)
-    assert dataset.lookup_model(WeierstrassModel.from_list([0, 0, 0, 1, -10])) is rec
+    assert dataset.by_model[dataio.model_key(WeierstrassModel.from_list([0, 0, 0, 1, -10]))] is rec
 
 
 def test_dataset_validation_errors(tmp_path):
@@ -337,3 +337,30 @@ def test_user_records_are_keyed_once_first_match_wins(minimal_model_calls, e1_52
         assert rank_over(e1_52, fields.RATIONALS, sources) is user[0]
         assert minimal_model_calls == [e1_52]  # the query's key only
     assert rank_over(shown[1], fields.quadratic_field(59), sources) is user[2]
+
+
+def test_rank_over_q_minimalizes_the_query_once(minimal_model_calls, dataset, e1_52):
+    # one model_key serves the user records and the dataset; a point search
+    # minimalizes once more
+    user = [dataio.RankRecord(e1_52, fields.RATIONALS, 7, "user")]
+    stranger = quadratic_twist(e1_52, -1)  # in no dataset row
+    for sources, model, provenance, calls in (
+            (RankSources(user_records=user), e1_52, "user", 1),
+            (RankSources(dataset=dataset), e1_52, "dataset", 1),
+            (RankSources(dataset=dataset), stranger, "point-search-lower-bound", 2)):
+        minimal_model_calls.clear()
+        assert rank_over(model, fields.RATIONALS, sources).provenance == provenance
+        assert len(minimal_model_calls) == calls, provenance
+
+
+def test_lower_bound_only_follows_the_point_search(dataset, e1_52):
+    sources = RankSources(dataset=dataset)
+    searched = rank_over(quadratic_twist(e1_52, -1), fields.RATIONALS, sources)
+    assert searched.lower_bound_only
+    assert not rank_over(e1_52, fields.RATIONALS, sources).lower_bound_only
+    # a sum is a lower bound when one of its summands is: the twist by -1
+    # comes from a point search, the one by 59 from the dataset
+    assert rank_over(e1_52, fields.quadratic_field(-1), sources).lower_bound_only
+    assert not rank_over(e1_52, fields.quadratic_field(59), sources).lower_bound_only
+    asserted = dataio.RankRecord(e1_52, fields.RATIONALS, 0, "point-search-lower-bound")
+    assert asserted.lower_bound_only

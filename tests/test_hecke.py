@@ -325,26 +325,28 @@ def test_integer_path_matches_the_fraction_reference(model):
     disc = int(curves.invariants(minimal).disc)
     qs = set(arith.primes(600)) | set(NEAR_NAIVE_LIMIT) | set(arith.prime_divisors(disc))
     for q in sorted(qs):
-        rec = hecke.a_q_of_minimal(minimal, q)
+        rec = a_q(minimal, q)
         good = _reference_good_at(minimal, q)
         assert (rec.method != "bad-prime-rule") == good, q
         if good and q > 2:
             assert rec.a_q == q + 1 - _reference_count_residues(a, q), q
     with mock.patch.object(hecke, "_count_bsgs", wraps=hecke._count_bsgs) as bsgs:
         for q in BSGS_PRIMES:
-            rec = hecke.a_q_of_minimal(minimal, q)
+            rec = a_q(minimal, q)
             if _reference_good_at(minimal, q):
                 assert bsgs.call_args.args == (*_reference_short_mod(minimal, q), q)
                 assert rec.a_q == q + 1 - _reference_count_residues(a, q), q
 
 
-def test_a_q_of_minimal_makes_no_fraction_invariants(invariants_calls, e1_52):
-    minimal, _ = curves.minimal_model(e1_52)
+def test_good_a_q_makes_no_fraction_invariants(invariants_calls, e1_52):
+    facts = localdata.curve_facts(e1_52)
     invariants_calls.clear()
     qs = (3, 5, NEAR_NAIVE_LIMIT[-1], BSGS_PRIMES[0])
-    methods = [hecke.a_q_of_minimal(minimal, q).method for q in qs]
-    assert methods == ["naive-count"] * 3 + ["bsgs"]
+    counted = [hecke.good_a_q(q, facts) for q in qs]
     assert invariants_calls == []
+    recs = [a_q(e1_52, q) for q in qs]
+    assert [r.method for r in recs] == ["naive-count"] * 3 + ["bsgs"]
+    assert counted == [(r.a_q,) for r in recs]
 
 
 @st.composite
@@ -367,22 +369,16 @@ def shown_curve(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(shown_curve())
-def test_a_q_of_minimal_matches_a_q(pair):
-    # the shortcut the sweeps take, against the public path, at good and bad primes
+def test_good_a_q_matches_a_q(pair):
+    # the path of prepared curves against the public one, which also takes
+    # the bad primes and the curve in either coordinates
     m, shown = pair
-    minimal, _ = curves.minimal_model(shown)
-    _, locs = localdata.conductor(m)
-    for q in sorted(set(arith.primes(40)) | {l.q for l in locs}):
+    facts = localdata.curve_facts(shown)
+    for q in sorted(set(arith.primes(40)) | {l.q for l in facts.local_data}):
         rec = a_q(shown, q)
-        assert rec == hecke.a_q_of_minimal(minimal, q) == a_q(m, q), q
-
-
-def test_a_q_of_minimal_refuses_a_non_minimal_model():
-    # 11a1 scaled by u = 1/2: 2 divides the discriminant, yet 11a1 is good at 2
-    scaled = WeierstrassModel.from_list([0, -4, 8, -160, -1280])
-    assert a_q(scaled, 2) == a_q(WeierstrassModel.from_list([0, -1, 1, -10, -20]), 2)
-    with pytest.raises(arith.SoundnessError, match="not minimal at 2"):
-        hecke.a_q_of_minimal(scaled, 2)
+        assert rec == a_q(m, q), q
+        if facts.conductor % q:
+            assert hecke.good_a_q(q, facts) == (rec.a_q,), q
 
 
 def test_hasse_guard_survives_python_O(run_python):

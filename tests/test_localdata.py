@@ -5,16 +5,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from shavis import arith, fields
+from shavis.fields import SplittingData
 from shavis.curves import WeierstrassModel, minimal_model, quadratic_twist
 from shavis.localdata import (
     _cubic_root_count,
-    LocalFieldExtension,
     LocalReductionData,
     UnsupportedBaseChangeError,
     component_count,
     conductor,
     conductor_of_minimal,
-    extension_at,
     is_p_unit_tamagawa,
     tamagawa_over_extension,
     tate_algorithm,
@@ -129,44 +128,48 @@ def test_cubic_root_count_above_64_hits_every_count():
 
 def test_tamagawa_base_change_rules():
     good = LocalReductionData(5, "I0", 0, 1, 0, "good")
-    assert tamagawa_over_extension(good, LocalFieldExtension(5, 3, 2)) == 1
+    assert tamagawa_over_extension(good, SplittingData(3, 2, 1)) == 1
     split5 = LocalReductionData(7, "I5", 1, 5, 5, "split-mult")
-    assert tamagawa_over_extension(split5, LocalFieldExtension(7, 1, 2)) == 5
-    assert tamagawa_over_extension(split5, LocalFieldExtension(7, 3, 1)) == 15
+    assert tamagawa_over_extension(split5, SplittingData(1, 2, 1)) == 5
+    assert tamagawa_over_extension(split5, SplittingData(3, 1, 1)) == 15
     non3 = LocalReductionData(11, "I3", 1, 1, 3, "nonsplit-mult")
     # unramified quadratic residue extension splits the torus
-    assert tamagawa_over_extension(non3, LocalFieldExtension(11, 1, 2)) == 3
-    assert tamagawa_over_extension(non3, LocalFieldExtension(11, 1, 3)) == 1
+    assert tamagawa_over_extension(non3, SplittingData(1, 2, 1)) == 3
+    assert tamagawa_over_extension(non3, SplittingData(1, 3, 1)) == 1
     non2 = LocalReductionData(11, "I2", 1, 2, 2, "nonsplit-mult")
-    assert tamagawa_over_extension(non2, LocalFieldExtension(11, 1, 3)) == 2
+    assert tamagawa_over_extension(non2, SplittingData(1, 3, 1)) == 2
     # additive, unramified
     iv = LocalReductionData(3, "IV", 2, 1, 4, "additive")
-    assert tamagawa_over_extension(iv, LocalFieldExtension(3, 1, 2)) == 3
-    assert tamagawa_over_extension(iv, LocalFieldExtension(3, 1, 3)) == 1
+    assert tamagawa_over_extension(iv, SplittingData(1, 2, 1)) == 3
+    assert tamagawa_over_extension(iv, SplittingData(1, 3, 1)) == 1
     i0star_c1 = LocalReductionData(5, "I0*", 2, 1, 6, "additive")
-    assert tamagawa_over_extension(i0star_c1, LocalFieldExtension(5, 1, 3)) == 4
-    assert tamagawa_over_extension(i0star_c1, LocalFieldExtension(5, 1, 2)) == 1
+    assert tamagawa_over_extension(i0star_c1, SplittingData(1, 3, 1)) == 4
+    assert tamagawa_over_extension(i0star_c1, SplittingData(1, 2, 1)) == 1
     i0star_c2 = LocalReductionData(5, "I0*", 2, 2, 6, "additive")
-    assert tamagawa_over_extension(i0star_c2, LocalFieldExtension(5, 1, 2)) == 4
+    assert tamagawa_over_extension(i0star_c2, SplittingData(1, 2, 1)) == 4
     instar = LocalReductionData(2, "I4*", 4, 2, 12, "additive")
-    assert tamagawa_over_extension(instar, LocalFieldExtension(2, 1, 2)) == 4
+    assert tamagawa_over_extension(instar, SplittingData(1, 2, 1)) == 4
     # ramified additive base change is refused
     with pytest.raises(UnsupportedBaseChangeError):
-        tamagawa_over_extension(iv, LocalFieldExtension(3, 2, 1))
-    with pytest.raises(arith.ArithmeticError_):
-        tamagawa_over_extension(good, LocalFieldExtension(7, 1, 1))
+        tamagawa_over_extension(iv, SplittingData(2, 1, 1))
 
 
 def test_trivial_extension_matches_tate(e2_364):
     for q in (2, 7, 13):
         local = tate_algorithm(e2_364, q)
-        assert tamagawa_over_extension(local, LocalFieldExtension(q, 1, 1)) == local.c
+        assert tamagawa_over_extension(local, SplittingData(1, 1, 1)) == local.c
 
 
-def test_extension_at_reads_the_splitting_data():
-    assert extension_at(fields.quadratic_field(59), 59) == LocalFieldExtension(59, 2, 1)
-    assert extension_at(fields.cyclotomic_field(7), 2) == LocalFieldExtension(2, 1, 3)
-    assert extension_at(fields.RATIONALS, 13) == LocalFieldExtension(13, 1, 1)
+def test_is_p_unit_tamagawa_reads_the_splitting_data(e2_364):
+    locs = conductor(e2_364)[1]
+    for field in (fields.quadratic_field(59), fields.cyclotomic_field(7), fields.RATIONALS):
+        detail = is_p_unit_tamagawa(locs, 5, field).detail
+        for local in locs:
+            split = fields.splitting_data(field, local.q)
+            entry = detail[local.q]
+            assert (entry["e"], entry["f"]) == (split.e, split.f)
+            if "c_over_field" in entry:
+                assert entry["c_over_field"] == tamagawa_over_extension(local, split)
 
 
 def test_is_p_unit_tamagawa_spec_examples(e1_52, e2_364):
