@@ -159,8 +159,9 @@ def load_dataset(path: str | Path | None = None) -> Dataset:
 
     Every row's conductor is recomputed with Tate's algorithm; a mismatch is
     a hard error since it means the fixture is corrupt. So is a second row
-    with the label or the minimal model of an earlier one. Each row is
-    minimalized once, for both checks.
+    with the label or the minimal model of an earlier one. Each row's facts
+    come from `localdata.curve_facts`, which serves both checks and keeps
+    them for the theorem engine.
     """
     bundled = resources.files("shavis").joinpath("data/curves.dataset")
     source, origin = (bundled, "<bundled>") if path is None else (Path(path), str(path))
@@ -171,15 +172,14 @@ def load_dataset(path: str | Path | None = None) -> Dataset:
         if not line or line.startswith("#"):
             continue
         rec = parse_dataset_line(line, lineno)
-        minimal, _ = curves.minimal_model(rec.model)
-        recomputed, _ = localdata.conductor_of_minimal(minimal)
-        if recomputed != rec.conductor:
+        facts = localdata.curve_facts(rec.model)
+        if facts.conductor != rec.conductor:
             raise DatasetError(
                 f"{origin} line {lineno}: stated conductor {rec.conductor} of {rec.label} "
-                f"disagrees with recomputed {recomputed}"
+                f"disagrees with recomputed {facts.conductor}"
             )
         try:
-            dataset.add(rec, minimal)
+            dataset.add(rec, facts.minimal)
         except DatasetError as exc:
             raise DatasetError(f"{origin} line {lineno}: {exc}") from exc
     return dataset
@@ -447,6 +447,20 @@ class RankSources:
             self.user_records.setdefault((model_key(rec.model), rec.field), rec)
 
 
+def _rank_over_q(model: WeierstrassModel, key: str, sources: RankSources) -> RankRecord:
+    """The rank over Q of a model whose `model_key` is `key`, from the user
+    records, the dataset or a point search, in that order."""
+    user = sources.user_records.get((key, fields.RATIONALS))
+    if user is not None:
+        return user
+    hit = sources.dataset.by_model.get(key) if sources.dataset is not None else None
+    if hit is not None:
+        return RankRecord(model, fields.RATIONALS, hit.rank, "dataset")
+    pts, bound = point_search(model, SEARCH_HEIGHT)
+    return RankRecord(model, fields.RATIONALS, bound, "point-search-lower-bound",
+                      witness_points=tuple(pts))
+
+
 def rank_over(
     model: WeierstrassModel,
     field: fields.NumberFieldDescriptor,
@@ -455,23 +469,19 @@ def rank_over(
     """Resolve the Mordell-Weil rank of the model over the field.
 
     Over Q: direct lookup through the source tiers, all read with one
-    `model_key` of the model. Over a quadratic field: rank(E/Q) + rank(E^d/Q),
-    both summands resolved recursively (the standard twist decomposition). Anything else must come from a user record.
+    `model_key` of the model. Over a quadratic field: rank(E/Q) + rank(E^d/Q)
+    (the standard twist decomposition), the first summand read with the same
+    key. Anything else must come from a user record.
     """
     key = model_key(model)
+    if field.kind == "rationals":
+        return _rank_over_q(model, key, sources)
     user = sources.user_records.get((key, field))
     if user is not None:
         return user
-    if field.kind == "rationals":
-        hit = sources.dataset.by_model.get(key) if sources.dataset is not None else None
-        if hit is not None:
-            return RankRecord(model, field, hit.rank, "dataset")
-        pts, bound = point_search(model, SEARCH_HEIGHT)
-        return RankRecord(model, field, bound, "point-search-lower-bound",
-                          witness_points=tuple(pts))
     if field.kind == "quadratic":
         d = arith.squarefree_part(field.disc)
-        base = rank_over(model, fields.RATIONALS, sources)
+        base = _rank_over_q(model, key, sources)
         twisted = rank_over(curves.quadratic_twist(model, d), fields.RATIONALS, sources)
         return RankRecord(
             model, field, base.rank + twisted.rank, "twist-decomposition",

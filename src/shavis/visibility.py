@@ -197,8 +197,9 @@ class _Engine:
     Every check returns (status, evidence); the theorem table supplies the
     ids. Twisted models, torsion verdicts and ranks are computed once, so a
     hypothesis and the conclusion that both consume one share a resolution.
-    The frozen curve facts (`localdata.curve_facts`), its only view of A and
-    B, and the congruence certificates come from process-wide memos.
+    The frozen curve facts (`localdata.curve_facts`), its only view of A, B
+    and their quadratic twists, and the congruence certificates come from
+    process-wide memos.
     """
 
     def __init__(self, scenario: VisibilityScenario, dataset: dataio.Dataset | None = None):
@@ -211,11 +212,12 @@ class _Engine:
         self.sources = dataio.RankSources(dataset=dataset, user_records=user_recs)
 
     @functools.cached_property
-    def twisted(self) -> tuple[WeierstrassModel, WeierstrassModel]:
-        """Minimal models of A and B twisted by the quadratic target field."""
+    def twisted(self) -> tuple[localdata.CurveFacts, localdata.CurveFacts]:
+        """Facts of A and B twisted by the quadratic target field, from the
+        same memo as the facts of A and B."""
         d = arith.squarefree_part(self.s.target.disc)
-        return tuple(curves.minimal_model(curves.quadratic_twist(m, d))[0]
-                     for m in (self.fa.minimal, self.fb.minimal))
+        return tuple(localdata.curve_facts(curves.quadratic_twist(f.minimal, d))
+                     for f in (self.fa, self.fb))
 
     def rank(self, model: WeierstrassModel, field: fields.NumberFieldDescriptor):
         """Resolve a rank once; the certificate lists ranks in first-use order."""
@@ -433,7 +435,7 @@ def _conclude_improv(eng: _Engine):
 
 
 def _conclude_quadratic(eng: _Engine):
-    a_tw, b_tw = eng.twisted
+    a_tw, b_tw = (f.minimal for f in eng.twisted)
     conclusion, a_side = _gap_conclusion(
         eng, a_tw, b_tw, fields.RATIONALS,
         f"Vis_J(Sha(A/{eng.s.target.describe()})) contains a subgroup",
@@ -724,8 +726,7 @@ THEOREMS = {
             *_ASSUMPTIONS,
             ("A.d", _inherits_q_i),
             ("Q.i", lambda e: e.torsion_vanishes(e.s.target)),
-            ("Q.ii", lambda e: e.tamagawa(*(localdata.conductor(m)[1] for m in e.twisted),
-                                          e.s.field_k)),
+            ("Q.ii", lambda e: e.tamagawa(*(f.local_data for f in e.twisted), e.s.field_k)),
             ("Q.iii", _degree_two_coprime),
         ),
         conclude=_conclude_quadratic,

@@ -30,9 +30,9 @@ def _record_calls(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
 
-    def counting(model):
+    def counting(model, *args):
         calls.append(model)
-        return real(model)
+        return real(model, *args)
 
     monkeypatch.setattr(module, name, counting)
     return calls
@@ -55,6 +55,20 @@ def invariants_calls(monkeypatch):
 def conductor_calls(monkeypatch):
     """The models handed to localdata.conductor while the test runs."""
     return _record_calls(monkeypatch, localdata, "conductor")
+
+
+@pytest.fixture
+def tate_calls(monkeypatch):
+    """The models handed to localdata.tate_algorithm while the test runs,
+    one entry per prime."""
+    return _record_calls(monkeypatch, localdata, "tate_algorithm")
+
+
+@pytest.fixture
+def cold_curve_facts():
+    """An empty localdata.curve_facts memo at the start of the test, so that
+    what it counts does not depend on which curves earlier tests left there."""
+    localdata.curve_facts.cache_clear()
 
 
 @pytest.fixture(scope="session")

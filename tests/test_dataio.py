@@ -69,8 +69,8 @@ def test_dataset_validation_errors(tmp_path):
             load_dataset(path)
 
 
-def test_load_dataset_minimalizes_each_row_once(minimal_model_calls):
-    # one minimal model per row serves both the conductor check and the index
+def test_load_dataset_minimalizes_each_row_once(cold_curve_facts, minimal_model_calls):
+    # one curve_facts per row serves both the conductor check and the index
     ds = load_dataset()
     assert minimal_model_calls == [rec.model for rec in ds.records]
 
@@ -351,6 +351,15 @@ def test_rank_over_q_minimalizes_the_query_once(minimal_model_calls, dataset, e1
         minimal_model_calls.clear()
         assert rank_over(model, fields.RATIONALS, sources).provenance == provenance
         assert len(minimal_model_calls) == calls, provenance
+
+
+def test_rank_over_quadratic_keys_the_query_once(minimal_model_calls, dataset, e1_52):
+    # the summand over Q reuses the key of the query over Q(sqrt 59); the
+    # twisted summand is keyed once more, and a short model twists without
+    # a minimal_model call
+    rec = rank_over(e1_52, fields.quadratic_field(59), RankSources(dataset=dataset))
+    assert [s.provenance for s in rec.summands] == ["dataset", "dataset"]
+    assert minimal_model_calls == [e1_52, quadratic_twist(e1_52, 59)]
 
 
 def test_lower_bound_only_follows_the_point_search(dataset, e1_52):

@@ -3,9 +3,9 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from shavis import congruence, curves, fields, localdata
+from shavis import arith, congruence, curves, dataio, fields, localdata
 from shavis.arith import ArithmeticError_
 from shavis.localdata import curve_facts
 from shavis.scenario import bundled_scenario_path, load_bundled_scenario, scenario_from_dict
@@ -358,6 +358,43 @@ def test_editing_certificate_json_leaves_the_memo(dataset):
     with pytest.raises(dataclasses.FrozenInstanceError):
         local[0].f = 0
 
+
+TWIST_DS = [d for d in range(-500, 501) if d not in (0, 1) and arith.is_squarefree(d)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(PAIRS), st.sampled_from(TWIST_DS))
+@example(PAIRS[0], 59)  # the bundled quadratic scenarios: both twists are dataset rows
+@example(PAIRS[1], 195)
+@example(PAIRS[2], 3)
+@example(PAIRS[2], 23)
+def test_twisted_facts_match_the_uncached_derivation(pair, d):
+    # the engine's twisted pair comes from the curve_facts memo, seeded by the
+    # dataset rows; minimal_model and conductor keep no memo
+    clear_memos()
+    dataset = dataio.load_dataset()
+    eng = _Engine(scenario_from_dict(twist_blob(pair, d)), dataset)
+    for facts, curve in zip(eng.twisted, pair[:2]):
+        minimal = curves.minimal_model(curves.WeierstrassModel.from_list(curve))[0]
+        twisted = curves.minimal_model(curves.quadratic_twist(minimal, d))[0]
+        n, local_data = localdata.conductor(twisted)
+        assert facts.minimal == twisted
+        assert (facts.conductor, list(facts.local_data)) == (n, local_data)
+
+
+@pytest.mark.parametrize("name", ["ex1_quadratic_59", "ex_493_17_quadratic_195",
+                                  "ex_203_quadratic_3", "ex_203_quadratic_23"])
+def test_bundled_twisted_pairs_are_read_from_the_dataset_rows(conductor_calls, tate_calls,
+                                                               name):
+    # both twists of each bundled quadratic scenario are dataset rows, whose
+    # facts load_dataset leaves in the memo: Q.ii runs no Tate on them
+    clear_memos()
+    dataset = dataio.load_dataset()
+    tate_calls.clear()
+    cert = verify_scenario(load_bundled_scenario(name), dataset)
+    assert conductor_calls == []
+    twisted = cert.conclusion["twisted_models"]
+    assert len(twisted) == 2 and not {str(m) for m in tate_calls} & set(twisted)
 
 
 def improv_engine(curve_a, p):
