@@ -13,16 +13,20 @@ NAIVE_LIMIT = 400, a baby-step giant-step search (Mestre style, with
 deterministic point selection so runs repeat) finds, for each point, every
 N in the Hasse interval that kills it. Its baby steps are keyed by x,
 so one step stands for +-j, and a point of small order ends the search
-among them. The count is the one N left in all these sets; after a few
+among them; the giant walk starts from a multiple of the giant step plus
+one baby step. The count is the one N left in all these sets; after a few
 points of the curve, the points of its quadratic twist (#E + #E' = 2q + 2)
 and of the curve take turns.
 The threshold is where BSGS overtakes the table in a sweep, which counts
 both curves of a pair with one table per prime: over the bundled pairs the
-two cost the same at q = 350-450, and BSGS is faster at every prime above
-500. It must stay >= 230, since only for q > 229 do the point orders of E
-and E' leave one candidate (Mestre; Cremona and Sutherland, JTNB 22, 2010).
-ModCurve is the one mod-q group law: the order search runs on it, and so do
-the torsion filters of the rational point search in dataio.
+two cost the same at q = 350-400, BSGS is ahead on average from 400 on,
+and it is faster at every prime above 500. It must stay >= 230, since only
+for q > 229 do the point orders of E and E' leave one candidate (Mestre;
+Cremona and Sutherland, JTNB 22, 2010).
+ModCurve is the one mod-q group law, with one chord-tangent step per model
+shape: on a short model it takes _short_add, the step that the order search
+calls directly, and the general formula serves the torsion filters of the
+rational point search in dataio.
 Bad primes use the standard rules: +-1 for multiplicative reduction, 0 for
 additive; multiplicative splitness can also be read off a direct nonsingular
 point count, which the tests use as an independent oracle against Tate.
@@ -84,7 +88,44 @@ def _count_residues(A: int, B: int, q: int, t: bytearray) -> int:
     g for 0 < x < q/2 cover every x.
     """
     gs = [(x * x + A) * x % q for x in range(1, (q + 1) // 2)]
-    return 1 + t[B] + sum([t[B + g] + t[B - g] for g in gs])
+    # w[g] = t[B + g] + t[B - g] for 0 <= g < q, one big-integer add of two
+    # slices; t[B + q - g] stands for t[B - g], and no byte sum carries (<= 4)
+    w = (int.from_bytes(t[B:B + q], "little")
+         + int.from_bytes(t[B + q:B:-1], "little")).to_bytes(q, "little")
+    return 1 + t[B] + sum(map(w.__getitem__, gs))
+
+
+def _short_add(p1, p2, A: int, q: int):
+    """p1 + p2 on a short model y^2 = x^3 + Ax + B over F_q, q odd: the chord
+    and tangent step, with None for the origin (B fixes the points, not the
+    law)."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    x1, y1 = p1
+    x2, y2 = p2
+    if x1 == x2:
+        if (y1 + y2) % q == 0:
+            return None
+        lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, q) % q
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, q) % q
+    x3 = (lam * lam - x1 - x2) % q
+    return x3, (lam * (x1 - x3) - y1) % q
+
+
+def _short_mul(k: int, pt, A: int, q: int):
+    """k pt for k >= 0 on a short model over F_q, by doubling and adding with
+    _short_add."""
+    acc = None
+    while k and pt is not None:
+        if k & 1:
+            acc = _short_add(acc, pt, A, q)
+        k >>= 1
+        if k:
+            pt = _short_add(pt, pt, A, q)
+    return acc
 
 
 class ModCurve:
@@ -92,9 +133,10 @@ class ModCurve:
 
     Points of E(F_q) are affine pairs (x, y) of residues; None is the origin.
     Built from a-invariants (reduced mod q here), so a short model is just
-    (0, 0, 0, A, B). The torsion helpers use that E(Q)_tors injects into
-    E(F_q) at odd primes of good reduction: a rational point whose reduction
-    has order > 12 (Mazur's bound) is certainly of infinite order.
+    (0, 0, 0, A, B), and its sums go to _short_add. The torsion helpers use
+    that E(Q)_tors injects into E(F_q) at odd primes of good reduction: a
+    rational point whose reduction has order > 12 (Mazur's bound) is
+    certainly of infinite order.
     """
 
     def __init__(self, ainvs, q: int):
@@ -122,12 +164,14 @@ class ModCurve:
         return (pt[0], (-pt[1] - a1 * pt[0] - a3) % self.q)
 
     def add(self, p1, p2):
+        a1, a2, a3, a4, a6 = self.a
+        q = self.q
+        if not (a1 or a2 or a3):
+            return _short_add(p1, p2, a4, q)
         if p1 is None:
             return p2
         if p2 is None:
             return p1
-        a1, a2, a3, a4, a6 = self.a
-        q = self.q
         x1, y1 = p1
         x2, y2 = p2
         if x1 == x2:
@@ -200,43 +244,58 @@ class ModCurve:
 
 
 def _multiples_in_window(P, E: ModCurve, lo: int, hi: int):
-    """Every N in [lo, hi] with N P = O, ascending, for an affine point P.
+    """Every N in [lo, hi] with N P = O, ascending, for an affine point P of a
+    short model E, y^2 = x^3 + Ax + B.
 
     The baby steps jP, 1 <= j <= m, are keyed by x, so each one stands for
-    +-j. The first step j that meets -jP = jP gives ord(P) = 2j, and the
-    first whose x an earlier step j' holds gives jP = -j'P, so ord(P) =
+    +-j. The first step j that meets -jP = jP (y = 0) gives ord(P) = 2j, and
+    the first whose x an earlier step j' holds gives jP = -j'P, so ord(P) =
     j + j' (no earlier step ended, so ord(P) > j). Then the answer is the
     multiples of ord(P). Otherwise ord(P) > 2m and the points jP, |j| <= m,
     are distinct: giant steps (c + k(2m + 1))P from the centre c of the window
     match at most one of them each, at -jP, which gives N = c + k(2m + 1) + j.
+    The walk starts at n0 = a(2m + 1) + b with |b| <= m: n0 P is a times the
+    giant step plus the baby step bP. If the giant step is O, ord(P) = 2m + 1.
     """
+    A, q = E.a[3], E.q
     c = (lo + hi) // 2
     w = hi - c
     m = math.isqrt(w) + 1
     baby = {}
+    steps = [None]  # steps[j] = jP
     R = None
     for j in range(1, m + 1):
-        R = E.add(R, P)
-        if R == E.neg(R):
+        R = _short_add(R, P, A, q)
+        if R[1] == 0:
             order = 2 * j
         elif R[0] in baby:
             order = j + baby[R[0]][0]
         else:
             baby[R[0]] = j, R[1]
+            steps.append(R)
             continue
         return range(lo + (-lo % order), hi + 1, order)
     step = 2 * m + 1
-    giant_step = E.add(E.add(R, R), P)
+    giant_step = _short_add(_short_add(R, R, A, q), P, A, q)
+    if giant_step is None:
+        return range(lo + (-lo % step), hi + 1, step)
     k = (w + m) // step  # k step + m >= w: the giant steps cover [c - w, c + w]
-    G = E.mul(c - k * step, P)
+    n0 = c - k * step
+    a, b = divmod(n0 + m, step)
+    b -= m  # n0 = a step + b, -m <= b <= m
+    G = _short_mul(a, giant_step, A, q)
+    if b:
+        bP = steps[abs(b)]
+        G = _short_add(G, bP if b > 0 else (bP[0], q - bP[1]), A, q)
     found = []
-    for n in range(c - k * step, c + k * step + 1, step):
+    for n in range(n0, c + k * step + 1, step):
         if G is None:
             found.append(n)
-        elif G[0] in baby:
-            j, y = baby[G[0]]
-            found.append(n - j if G[1] == y else n + j)
-        G = E.add(G, giant_step)
+        else:
+            hit = baby.get(G[0])
+            if hit is not None:
+                found.append(n - hit[0] if G[1] == hit[1] else n + hit[0])
+        G = _short_add(G, giant_step, A, q)
     return [n for n in found if lo <= n <= hi]
 
 

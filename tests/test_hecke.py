@@ -111,6 +111,16 @@ GIANT_STEPS = (
     (5, 7, (7, 2730), 977),
     (5, 7, (0, 1452), 2931),
 )
+# A point of order 2m + 1 = 23 at q = 2999, whose giant step is O
+GIANT_STEP_IS_O = (1, 28, (1240, 249), 23)
+# The giant walk starts at n0 = q + 1 - k(2m + 1) = a(2m + 1) + b, |b| <= m.
+# At q = 2999, n0 = 2885 = 125 * 23 + 10 adds the baby step 10P to 125 giant
+# steps; at q = 3001, n0 = 2887 = 126 * 23 - 11 adds -11P to 126 of them.
+# Pinned as (q, A, B, P, a, every N in the window with N P = O)
+GIANT_STARTS = (
+    (2999, 5, 7, (7, 2730), 125, [2931]),
+    (3001, 5, 7, (2, 2996), 126, [2992]),
+)
 
 
 def test_multiples_in_window_matches_brute_force():
@@ -135,9 +145,86 @@ def test_multiples_in_window_early_exits_make_no_giant_step():
         assert E.mul(order, P) is None and all(
             E.mul(order // r, P) is not None for r in arith.prime_divisors(order))
         expected = [n for n in range(lo, hi + 1) if n % order == 0]
-        with mock.patch.object(E, "mul", wraps=E.mul) as mul:
+        with mock.patch.object(hecke, "_short_mul", wraps=hecke._short_mul) as mul:
             assert list(hecke._multiples_in_window(P, E, lo, hi)) == expected, (A, B, P)
         assert mul.called == (order > 22), (A, B, P)
+
+
+def test_multiples_in_window_takes_no_giant_step_of_order_2m_plus_1():
+    q = 2999
+    lo, hi = _window(q)
+    A, B, P, order = GIANT_STEP_IS_O
+    E = hecke.ModCurve((0, 0, 0, A, B), q)
+    assert E.mul(order, P) is None
+    expected = [n for n in range(lo, hi + 1) if n % order == 0]
+    assert _brute_multiples(P, E, lo, hi) == expected
+    with mock.patch.object(hecke, "_short_mul", wraps=hecke._short_mul) as mul:
+        assert list(hecke._multiples_in_window(P, E, lo, hi)) == expected
+    assert not mul.called
+
+
+def test_multiples_in_window_starts_the_walk_from_a_baby_step():
+    # one start on each side of a multiple of the giant step
+    for q, A, B, P, a, expected in GIANT_STARTS:
+        lo, hi = _window(q)
+        E = hecke.ModCurve((0, 0, 0, A, B), q)
+        assert _brute_multiples(P, E, lo, hi) == expected
+        with mock.patch.object(hecke, "_short_mul", wraps=hecke._short_mul) as mul:
+            assert hecke._multiples_in_window(P, E, lo, hi) == expected, q
+        assert mul.call_args.args[:2] == (a, E.mul(2 * 11 + 1, P)), q
+
+
+def _reference_add(a, q, p1, p2):
+    """ModCurve.add as it read before short models had a step of their own."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    a1, a2, a3, a4, a6 = a
+    x1, y1 = p1
+    x2, y2 = p2
+    if x1 == x2:
+        if (y1 + y2 + a1 * x1 + a3) % q == 0:
+            return None
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * pow(
+            (2 * y1 + a1 * x1 + a3) % q, -1, q
+        ) % q
+    else:
+        lam = (y2 - y1) * pow((x2 - x1) % q, -1, q) % q
+    nu = (y1 - lam * x1) % q
+    x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % q
+    y3 = (-(lam + a1) * x3 - nu - a3) % q
+    return (x3, y3)
+
+
+PRIMES_5_TO_5000 = [q for q in range(5, 5001) if arith.is_prime(q)]
+
+
+@st.composite
+def short_curve_points(draw):
+    q = draw(st.sampled_from(PRIMES_5_TO_5000))
+    A, B = draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))
+    assume((4 * A**3 + 27 * B * B) % q)
+    points = list(hecke._points(A, B, q))
+    assume(points)
+    return q, A, B, draw(st.sampled_from(points)), draw(st.sampled_from(points))
+
+
+@settings(max_examples=100, deadline=None)
+@given(short_curve_points(), st.integers(0, 40))
+def test_short_model_step_matches_the_general_formula(case, k):
+    q, A, B, P, Q = case
+    E = hecke.ModCurve((0, 0, 0, A, B), q)
+    minus_P, minus_Q = E.neg(P), E.neg(Q)
+    pairs = [(P, Q), (Q, P), (P, minus_Q), (minus_P, Q), (P, P), (minus_P, minus_P),
+             (P, minus_P), (P, None), (None, Q), (None, None)]
+    for p1, p2 in pairs:
+        assert E.add(p1, p2) == _reference_add(E.a, q, p1, p2), (p1, p2)
+    # k P by repeated reference steps against the doubling multiply
+    kP = None
+    for _ in range(k):
+        kP = _reference_add(E.a, q, kP, P)
+    assert hecke._short_mul(k, P, A, q) == kP == E.mul(k, P)
 
 
 @settings(max_examples=40, deadline=None)
