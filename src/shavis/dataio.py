@@ -4,9 +4,11 @@ search, and rank resolution with provenance tracking.
 Ranks are the one hypothesis this package cannot prove. Every resolved rank
 carries its provenance tier (user > dataset > point-search), and a point
 search only ever asserts a lower bound, which `RankRecord.lower_bound_only`
-reports. A rank query is keyed once, by `model_key`, for the user records
-and for the dataset's `by_model` index alike. An outside rank table comes in
-only as a dataset file, whose every row `load_dataset` checks.
+reports. A rank query is keyed once, by the text of its global minimal
+model, for the user records and for the dataset's `by_model` index alike:
+a `localdata.CurveFacts` query reads that text off the minimal model it
+holds, and a raw model gets it from `model_key`. An outside rank table comes
+in only as a dataset file, whose every row `load_dataset` checks.
 """
 
 from __future__ import annotations
@@ -462,18 +464,26 @@ def _rank_over_q(model: WeierstrassModel, key: str, sources: RankSources) -> Ran
 
 
 def rank_over(
-    model: WeierstrassModel,
+    curve: WeierstrassModel | localdata.CurveFacts,
     field: fields.NumberFieldDescriptor,
     sources: RankSources,
 ) -> RankRecord:
-    """Resolve the Mordell-Weil rank of the model over the field.
+    """Resolve the Mordell-Weil rank of the curve over the field.
 
-    Over Q: direct lookup through the source tiers, all read with one
-    `model_key` of the model. Over a quadratic field: rank(E/Q) + rank(E^d/Q)
-    (the standard twist decomposition), the first summand read with the same
-    key. Anything else must come from a user record.
+    The query is keyed once. A `localdata.CurveFacts` is keyed by the text
+    of the minimal model it holds, the same text `model_key` would compute,
+    and its record carries that minimal model; a raw model is keyed by
+    `model_key` and its record carries the model as given.
+
+    Over Q: direct lookup through the source tiers, all read with that key.
+    Over a quadratic field: rank(E/Q) + rank(E^d/Q) (the standard twist
+    decomposition), the first summand read with the same key and the twist
+    queried as a raw model. Anything else must come from a user record.
     """
-    key = model_key(model)
+    if isinstance(curve, localdata.CurveFacts):
+        model, key = curve.minimal, str(curve.minimal)
+    else:
+        model, key = curve, model_key(curve)
     if field.kind == "rationals":
         return _rank_over_q(model, key, sources)
     user = sources.user_records.get((key, field))

@@ -219,11 +219,15 @@ class _Engine:
         return tuple(localdata.curve_facts(curves.quadratic_twist(f.minimal, d))
                      for f in (self.fa, self.fb))
 
-    def rank(self, model: WeierstrassModel, field: fields.NumberFieldDescriptor):
-        """Resolve a rank once; the certificate lists ranks in first-use order."""
-        key = (model, field)
+    def rank(self, facts: localdata.CurveFacts, field: fields.NumberFieldDescriptor):
+        """Resolve a rank once; the certificate lists ranks in first-use order.
+
+        The query is the curve facts the engine holds (A, B or a twist of
+        either), so `dataio.rank_over` keys it by the minimal model in them
+        without minimalizing again, and the record carries that model."""
+        key = (facts, field)
         if key not in self._ranks:
-            self._ranks[key] = dataio.rank_over(model, field, self.sources)
+            self._ranks[key] = dataio.rank_over(facts, field, self.sources)
             self.rank_uses.append(self._ranks[key].to_json())
         return self._ranks[key]
 
@@ -379,8 +383,8 @@ class _Engine:
 
     def rank_gap(self) -> tuple[str, dict]:
         k = self.s.field_k
-        rank_a = self.rank(self.fa.minimal, k).rank
-        rank_b = self.rank(self.fb.minimal, k).rank
+        rank_a = self.rank(self.fa, k).rank
+        rank_b = self.rank(self.fb, k).rank
         return HOLDS if rank_b > rank_a else FAILS, {
             "statement": f"rank B({k.describe()}) > rank A({k.describe()})",
             "rank_A": rank_a, "rank_B": rank_b,
@@ -412,11 +416,11 @@ def _degrade_search_rank(conclusion: dict, overall: str, *a_side_records) -> str
 # ---------------------------------------------------------------------------
 # theorem-specific checks and conclusions
 
-def _gap_conclusion(eng: _Engine, model_a, model_b, field, claim: str) -> tuple[dict, tuple]:
+def _gap_conclusion(eng: _Engine, facts_a, facts_b, field, claim: str) -> tuple[dict, tuple]:
     """n^(rank B - rank A) over the field; `claim` precedes " of order >= ..."."""
     n = eng.s.n
-    rank_a = eng.rank(model_a, field)
-    gap = eng.rank(model_b, field).rank - rank_a.rank
+    rank_a = eng.rank(facts_a, field)
+    gap = eng.rank(facts_b, field).rank - rank_a.rank
     conclusion = {
         "min_visible_order": n**gap if gap > 0 else 1,
         "kernel_bound": n**rank_a.rank,
@@ -430,24 +434,24 @@ def _gap_conclusion(eng: _Engine, model_a, model_b, field, claim: str) -> tuple[
 
 def _conclude_improv(eng: _Engine):
     k = eng.s.field_k
-    return _gap_conclusion(eng, eng.fa.minimal, eng.fb.minimal, k,
+    return _gap_conclusion(eng, eng.fa, eng.fb, k,
                            f"Vis_J(Sha(A/{k.describe()})) contains a subgroup")
 
 
 def _conclude_quadratic(eng: _Engine):
-    a_tw, b_tw = (f.minimal for f in eng.twisted)
+    a_tw, b_tw = eng.twisted
     conclusion, a_side = _gap_conclusion(
         eng, a_tw, b_tw, fields.RATIONALS,
         f"Vis_J(Sha(A/{eng.s.target.describe()})) contains a subgroup",
     )
-    conclusion["twisted_models"] = [str(a_tw), str(b_tw)]
+    conclusion["twisted_models"] = [str(a_tw.minimal), str(b_tw.minimal)]
     return conclusion, a_side
 
 
 def _conclude_nontrivial(eng: _Engine):
     k, p = eng.s.field_k, eng.s.n
     return _gap_conclusion(
-        eng, eng.fa.minimal, eng.fb.minimal, k,
+        eng, eng.fa, eng.fb, k,
         f"Sha(A/{k.describe()}) contains an element of order {p}; visible subgroup",
     )
 
@@ -549,9 +553,9 @@ def _conclude_exten(eng: _Engine):
     acts on the rest of A(M) (x) Q through Q(zeta_p), so rank records are
     rejected unless rank A(M) - rank A(K) is a non-negative multiple of p - 1."""
     s, p, kummer = eng.s, eng.s.n, eng.s.target
-    rank_a_k = eng.rank(eng.fa.minimal, s.field_k).rank
-    rank_a_m = eng.rank(eng.fa.minimal, kummer).rank
-    rank_b_k = eng.rank(eng.fb.minimal, s.field_k).rank
+    rank_a_k = eng.rank(eng.fa, s.field_k).rank
+    rank_a_m = eng.rank(eng.fa, kummer).rank
+    rank_b_k = eng.rank(eng.fb, s.field_k).rank
     if rank_a_m < rank_a_k or (rank_a_m - rank_a_k) % (p - 1):
         raise ArithmeticError_(f"rank A({kummer.describe()}) = {rank_a_m} and rank A("
                                f"{s.field_k.describe()}) = {rank_a_k}: their difference must "

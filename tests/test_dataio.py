@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from shavis import curves, dataio, fields
+from shavis import curves, dataio, fields, localdata
 from shavis.curves import WeierstrassModel, minimal_model, quadratic_twist
 from shavis.dataio import (
     DatasetError,
@@ -341,16 +341,21 @@ def test_user_records_are_keyed_once_first_match_wins(minimal_model_calls, e1_52
 
 def test_rank_over_q_minimalizes_the_query_once(minimal_model_calls, dataset, e1_52):
     # one model_key serves the user records and the dataset; a point search
-    # minimalizes once more
+    # minimalizes once more. Curve facts are keyed by the minimal model they
+    # hold, so only a point search minimalizes.
     user = [dataio.RankRecord(e1_52, fields.RATIONALS, 7, "user")]
     stranger = quadratic_twist(e1_52, -1)  # in no dataset row
-    for sources, model, provenance, calls in (
-            (RankSources(user_records=user), e1_52, "user", 1),
-            (RankSources(dataset=dataset), e1_52, "dataset", 1),
-            (RankSources(dataset=dataset), stranger, "point-search-lower-bound", 2)):
+    facts = {m: localdata.curve_facts(m) for m in (e1_52, stranger)}
+    for sources, model, provenance, calls, facts_calls in (
+            (RankSources(user_records=user), e1_52, "user", 1, 0),
+            (RankSources(dataset=dataset), e1_52, "dataset", 1, 0),
+            (RankSources(dataset=dataset), stranger, "point-search-lower-bound", 2, 1)):
         minimal_model_calls.clear()
         assert rank_over(model, fields.RATIONALS, sources).provenance == provenance
         assert len(minimal_model_calls) == calls, provenance
+        minimal_model_calls.clear()
+        assert rank_over(facts[model], fields.RATIONALS, sources).provenance == provenance
+        assert len(minimal_model_calls) == facts_calls, provenance
 
 
 def test_rank_over_quadratic_keys_the_query_once(minimal_model_calls, dataset, e1_52):
@@ -373,3 +378,81 @@ def test_lower_bound_only_follows_the_point_search(dataset, e1_52):
     assert not rank_over(e1_52, fields.quadratic_field(59), sources).lower_bound_only
     asserted = dataio.RankRecord(e1_52, fields.RATIONALS, 0, "point-search-lower-bound")
     assert asserted.lower_bound_only
+
+
+#: Search height of the point-search tier in the shortcut tests below, the
+#: same on both paths; the tier's own bound takes too long for a sweep.
+SHORTCUT_SEARCH_HEIGHT = 150
+SHORTCUT_FIELDS = (fields.RATIONALS, fields.quadratic_field(-1), fields.quadratic_field(3),
+                   fields.quadratic_field(59), fields.kummer_layer(3, 7))
+
+
+def _outcome(curve, field, sources):
+    """What rank_over answers: the record's JSON, or the error it raises."""
+    try:
+        return rank_over(curve, field, sources).to_json()
+    except fields.UnsupportedFieldError as exc:
+        return ("UnsupportedFieldError", str(exc))
+
+
+def _without_curves(blob):
+    """A rank record's JSON without its "curve" entries: the coordinates in
+    which a raw query names its curve and the curves it twisted."""
+    if not isinstance(blob, dict):
+        return blob
+    return {k: ([_without_curves(s) for s in v] if k == "summands" else v)
+            for k, v in blob.items() if k != "curve"}
+
+
+def _assert_facts_query_matches_the_raw_query(shown, field, sources):
+    # the facts path is byte-identical to the raw query on the minimal model
+    # it holds, and answers the raw query on the shown model through the
+    # same tiers with the same ranks and witnesses
+    facts = localdata.curve_facts(shown)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "SEARCH_HEIGHT", SHORTCUT_SEARCH_HEIGHT)
+        by_facts = _outcome(facts, field, sources)
+        assert by_facts == _outcome(facts.minimal, field, sources)
+        assert _without_curves(by_facts) == _without_curves(_outcome(shown, field, sources))
+    return by_facts
+
+
+def _shown(model, u, r, s, t):
+    """The curve in integral coordinates scaled by u, so not minimal for u > 1."""
+    return curves.transform(model, curves.Isomorphism(Fraction(1, u), r, s, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
+    st.integers(-30, 30), st.integers(-60, 60),
+    st.integers(2, 3), st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2),
+    st.sampled_from(SHORTCUT_FIELDS), st.sampled_from([None, "query", "Q"]),
+)
+@example(0, 0, 0, 1, -10, 2, 1, 0, 1, fields.quadratic_field(59), None)  # ex1.E1: dataset rows
+@example(0, 0, 0, 1, -10, 3, 0, 1, 0, fields.quadratic_field(-1), None)  # point-search twist
+@example(0, 0, 0, 1, -10, 2, 0, 0, 0, fields.kummer_layer(3, 7), "query")  # a user record
+@example(0, 1, 1, -2, 0, 2, 1, 1, 1, fields.kummer_layer(3, 7), None)  # unsupported field
+def test_facts_query_matches_the_raw_query(dataset, a1, a2, a3, a4, a6, u, r, s, t, field, user):
+    minimal = _small_integral_model(a1, a2, a3, a4, a6)
+    shown = _shown(minimal, u, r, s, t)
+    # a user record, given in yet other coordinates, over the query's field or over Q
+    records = [] if user is None else [dataio.RankRecord(
+        _shown(minimal, 1, 1, 1, 0), field if user == "query" else fields.RATIONALS, 5, "user")]
+    sources = RankSources(dataset=dataset, user_records=records)
+    answer = _assert_facts_query_matches_the_raw_query(shown, field, sources)
+    if user == "query":
+        assert answer["provenance"] == "user"
+
+
+def test_facts_query_matches_the_raw_query_on_the_bundled_rows(dataset):
+    sources = RankSources(dataset=dataset)
+    tiers = set()
+    for rec in dataset.records:
+        for field in SHORTCUT_FIELDS:
+            answer = _assert_facts_query_matches_the_raw_query(
+                _shown(rec.model, 2, 1, 0, 1), field, sources)
+            if isinstance(answer, dict):
+                tiers |= {answer["provenance"]} | {s["provenance"] for s in answer.get(
+                    "summands", ())}
+    assert tiers == {"dataset", "twist-decomposition", "point-search-lower-bound"}

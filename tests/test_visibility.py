@@ -397,6 +397,27 @@ def test_bundled_twisted_pairs_are_read_from_the_dataset_rows(conductor_calls, t
     assert len(twisted) == 2 and not {str(m) for m in tate_calls} & set(twisted)
 
 
+@pytest.mark.parametrize("name, calls", [
+    ("ex1_quadratic_59", 1), ("ex_493_17_quadratic_195", 3), ("ex_203_quadratic_3", 2),
+    ("ex_203_quadratic_23", 2), ("ex_176_kummer7", 4), ("ex5_cyclotomic_tower", 2)])
+def test_bundled_scenarios_minimal_model_calls(minimal_model_calls, name, calls):
+    # after load_dataset, a bundled scenario minimalizes only curves that are
+    # not dataset rows, the short models quadratic_twist reduces, and the
+    # user rank records: every rank query is keyed by the facts the engine
+    # holds
+    clear_memos()
+    dataset = dataio.load_dataset()
+    minimal_model_calls.clear()
+    scn = load_bundled_scenario(name)
+    verify_scenario(scn, dataset)
+    assert len(minimal_model_calls) == calls
+    if name == "ex_203_quadratic_3":
+        # only the twist of A and of B: y^2 = x^3 - 27 c4 d^2 x - 54 c6 d^3
+        twists = [curves.WeierstrassModel.from_list([0, 0, 0, -27 * f.c4 * 9, -54 * f.c6 * 27])
+                  for f in map(curve_facts, (scn.curve_a, scn.curve_b))]
+        assert minimal_model_calls == twists
+
+
 def improv_engine(curve_a, p):
     """The engine of an improv scenario over Q with B = 37a1."""
     return _Engine(scenario_from_dict({
