@@ -4,11 +4,10 @@ search, and rank resolution with provenance tracking.
 Ranks are the one hypothesis this package cannot prove. Every resolved rank
 carries its provenance tier (user > dataset > point-search), and a point
 search only ever asserts a lower bound, which `RankRecord.lower_bound_only`
-reports. A rank query is keyed once, by the text of its global minimal
-model, for the user records and for the dataset's `by_model` index alike:
-a `localdata.CurveFacts` query reads that text off the minimal model it
-holds, and a raw model gets it from `model_key`. An outside rank table comes
-in only as a dataset file, whose every row `load_dataset` checks.
+reports. A rank query is reduced once to its global minimal model, which
+keys the user records and the dataset's `by_model` index, and every record
+built here names the global minimal model its witnesses lie on. An outside
+rank table comes in only as a dataset file, whose every row `load_dataset` checks.
 """
 
 from __future__ import annotations
@@ -74,21 +73,22 @@ class RankRecord:
 
 def rank_record_from_json(blob) -> RankRecord:
     """A user rank record as a scenario gives it: {"curve", "field", "rank"}
-    and an optional "provenance" (default "user"). Rejects a malformed
-    record, a rank that is not an integer >= 0 and a singular curve."""
+    and an optional "provenance", "user" if given. Rejects a malformed record,
+    a rank that is not an integer >= 0, another provenance and a singular curve."""
     if not isinstance(blob, dict) or not {"curve", "field", "rank"} <= set(blob):
         raise DatasetError(f"bad rank record {blob!r}")
     rank = blob["rank"]
     if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
         raise DatasetError(f"rank must be a non-negative integer, got {rank!r} in {blob!r}")
+    if blob.get("provenance", "user") != "user":
+        raise DatasetError(f"provenance must be 'user', got {blob['provenance']!r} in {blob!r}")
     model = curves.parse_curve(blob["curve"])
     curves.invariants(model)  # raises SingularCurveError
-    return RankRecord(model, fields.field_from_json(blob["field"]), rank,
-                      blob.get("provenance", "user"))
+    return RankRecord(model, fields.field_from_json(blob["field"]), rank, "user")
 
 
 def model_key(model: WeierstrassModel) -> str:
-    """The key of `Dataset.by_model`: the text of the global minimal model."""
+    """The text of the global minimal model, the key of user rank records and `by_model`."""
     minimal, _ = curves.minimal_model(model)
     return str(minimal)
 
@@ -449,17 +449,18 @@ class RankSources:
             self.user_records.setdefault((model_key(rec.model), rec.field), rec)
 
 
-def _rank_over_q(model: WeierstrassModel, key: str, sources: RankSources) -> RankRecord:
-    """The rank over Q of a model whose `model_key` is `key`, from the user
-    records, the dataset or a point search, in that order."""
+def _rank_over_q(minimal: WeierstrassModel, sources: RankSources) -> RankRecord:
+    """The rank over Q of a global minimal model from the user records, the
+    dataset or a point search, in that order; a record built here names it."""
+    key = str(minimal)
     user = sources.user_records.get((key, fields.RATIONALS))
     if user is not None:
         return user
     hit = sources.dataset.by_model.get(key) if sources.dataset is not None else None
     if hit is not None:
-        return RankRecord(model, fields.RATIONALS, hit.rank, "dataset")
-    pts, bound = point_search(model, SEARCH_HEIGHT)
-    return RankRecord(model, fields.RATIONALS, bound, "point-search-lower-bound",
+        return RankRecord(minimal, fields.RATIONALS, hit.rank, "dataset")
+    pts, bound = point_search(minimal, SEARCH_HEIGHT)
+    return RankRecord(minimal, fields.RATIONALS, bound, "point-search-lower-bound",
                       witness_points=tuple(pts))
 
 
@@ -470,31 +471,29 @@ def rank_over(
 ) -> RankRecord:
     """Resolve the Mordell-Weil rank of the curve over the field.
 
-    The query is keyed once. A `localdata.CurveFacts` is keyed by the text
-    of the minimal model it holds, the same text `model_key` would compute,
-    and its record carries that minimal model; a raw model is keyed by
-    `model_key` and its record carries the model as given.
+    The query is first reduced to its global minimal model, the one a
+    `localdata.CurveFacts` holds or that of a model as given. That model keys
+    the user records and the dataset, and every record built here names a
+    global minimal model, the curve its witness points lie on.
 
-    Over Q: direct lookup through the source tiers, all read with that key.
-    Over a quadratic field: rank(E/Q) + rank(E^d/Q) (the standard twist
-    decomposition), the first summand read with the same key and the twist
-    queried as a raw model. Anything else must come from a user record.
+    Over Q: direct lookup through the source tiers. Over a quadratic field:
+    rank(E/Q) + rank(E^d/Q) (the standard twist decomposition), the twist
+    minimalized first. Anything else must come from a user record.
     """
-    if isinstance(curve, localdata.CurveFacts):
-        model, key = curve.minimal, str(curve.minimal)
-    else:
-        model, key = curve, model_key(curve)
+    minimal = (curve.minimal if isinstance(curve, localdata.CurveFacts)
+               else curves.minimal_model(curve)[0])
     if field.kind == "rationals":
-        return _rank_over_q(model, key, sources)
-    user = sources.user_records.get((key, field))
+        return _rank_over_q(minimal, sources)
+    user = sources.user_records.get((str(minimal), field))
     if user is not None:
         return user
     if field.kind == "quadratic":
         d = arith.squarefree_part(field.disc)
-        base = _rank_over_q(model, key, sources)
-        twisted = rank_over(curves.quadratic_twist(model, d), fields.RATIONALS, sources)
+        base = _rank_over_q(minimal, sources)
+        twist, _ = curves.minimal_model(curves.quadratic_twist(minimal, d))
+        twisted = _rank_over_q(twist, sources)
         return RankRecord(
-            model, field, base.rank + twisted.rank, "twist-decomposition",
+            minimal, field, base.rank + twisted.rank, "twist-decomposition",
             summands=(base, twisted),
         )
     raise fields.UnsupportedFieldError(

@@ -160,6 +160,17 @@ def test_verify_bad_rank_record_exits_2(capsys, tmp_path, rank):
     assert err.startswith("error: rank must be a non-negative integer")
 
 
+@pytest.mark.parametrize("provenance, code", [("dataset", 2), (["x"], 2), (None, 0)])
+def test_verify_rank_record_provenance_must_be_user(capsys, tmp_path, provenance, code):
+    # a scenario supplies user ranks only; an absent provenance means "user"
+    blob = json.loads(bundled_scenario_path("ex_176_kummer7").read_text())
+    for record in blob["rank_records"]:
+        del record["provenance"]
+        if provenance is not None:
+            record["provenance"] = provenance
+    assert run(capsys, "verify", _write(tmp_path, blob))[0] == code
+
+
 @pytest.mark.parametrize("key, value, shape", [
     pytest.param("options", [], "an object", id="options-list"),
     pytest.param("options", "bounded-proof", "an object", id="options-string"),

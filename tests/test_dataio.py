@@ -313,11 +313,7 @@ def test_rank_over_spec_examples(dataset, e1_52):
 
 
 def test_rank_over_user_priority(dataset, e1_52):
-    user = [
-        __import__("shavis.dataio", fromlist=["RankRecord"]).RankRecord(
-            e1_52, fields.RATIONALS, 7, "user"
-        )
-    ]
+    user = [dataio.RankRecord(e1_52, fields.RATIONALS, 7, "user")]
     sources = RankSources(dataset=dataset, user_records=user)
     assert rank_over(e1_52, fields.RATIONALS, sources).rank == 7
 
@@ -340,7 +336,7 @@ def test_user_records_are_keyed_once_first_match_wins(minimal_model_calls, e1_52
 
 
 def test_rank_over_q_minimalizes_the_query_once(minimal_model_calls, dataset, e1_52):
-    # one model_key serves the user records and the dataset; a point search
+    # one minimal_model call serves the user records and the dataset; a point search
     # minimalizes once more. Curve facts are keyed by the minimal model they
     # hold, so only a point search minimalizes.
     user = [dataio.RankRecord(e1_52, fields.RATIONALS, 7, "user")]
@@ -380,41 +376,27 @@ def test_lower_bound_only_follows_the_point_search(dataset, e1_52):
     assert asserted.lower_bound_only
 
 
-#: Search height of the point-search tier in the shortcut tests below, the
-#: same on both paths; the tier's own bound takes too long for a sweep.
+#: Search height of the point-search tier in the sweeps below, where its own takes too long.
 SHORTCUT_SEARCH_HEIGHT = 150
 SHORTCUT_FIELDS = (fields.RATIONALS, fields.quadratic_field(-1), fields.quadratic_field(3),
                    fields.quadratic_field(59), fields.kummer_layer(3, 7))
 
 
-def _outcome(curve, field, sources):
-    """What rank_over answers: the record's JSON, or the error it raises."""
-    try:
-        return rank_over(curve, field, sources).to_json()
-    except fields.UnsupportedFieldError as exc:
-        return ("UnsupportedFieldError", str(exc))
-
-
-def _without_curves(blob):
-    """A rank record's JSON without its "curve" entries: the coordinates in
-    which a raw query names its curve and the curves it twisted."""
-    if not isinstance(blob, dict):
-        return blob
-    return {k: ([_without_curves(s) for s in v] if k == "summands" else v)
-            for k, v in blob.items() if k != "curve"}
-
-
-def _assert_facts_query_matches_the_raw_query(shown, field, sources):
-    # the facts path is byte-identical to the raw query on the minimal model
-    # it holds, and answers the raw query on the shown model through the
-    # same tiers with the same ranks and witnesses
-    facts = localdata.curve_facts(shown)
+def _checked_rank_over(shown, field, sources):
+    """rank_over's answer once each record it builds names a global minimal model
+    holding its witnesses; None once both input shapes raise the same error."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataio, "SEARCH_HEIGHT", SHORTCUT_SEARCH_HEIGHT)
-        by_facts = _outcome(facts, field, sources)
-        assert by_facts == _outcome(facts.minimal, field, sources)
-        assert _without_curves(by_facts) == _without_curves(_outcome(shown, field, sources))
-    return by_facts
+        try:
+            answer = rank_over(shown, field, sources)
+        except fields.UnsupportedFieldError as exc:
+            with pytest.raises(fields.UnsupportedFieldError, match=f"^{re.escape(str(exc))}$"):
+                rank_over(localdata.curve_facts(shown), field, sources)
+            return None
+    for rec in (answer, *answer.summands):
+        assert all(point_on_curve(rec.model, pt) for pt in rec.witness_points), rec
+        assert rec.provenance == "user" or minimal_model(rec.model)[0] == rec.model, rec
+    return answer
 
 
 def _shown(model, u, r, s, t):
@@ -423,36 +405,27 @@ def _shown(model, u, r, s, t):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
-    st.integers(-30, 30), st.integers(-60, 60),
-    st.integers(2, 3), st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2),
-    st.sampled_from(SHORTCUT_FIELDS), st.sampled_from([None, "query", "Q"]),
-)
-@example(0, 0, 0, 1, -10, 2, 1, 0, 1, fields.quadratic_field(59), None)  # ex1.E1: dataset rows
-@example(0, 0, 0, 1, -10, 3, 0, 1, 0, fields.quadratic_field(-1), None)  # point-search twist
-@example(0, 0, 0, 1, -10, 2, 0, 0, 0, fields.kummer_layer(3, 7), "query")  # a user record
-@example(0, 1, 1, -2, 0, 2, 1, 1, 1, fields.kummer_layer(3, 7), None)  # unsupported field
-def test_facts_query_matches_the_raw_query(dataset, a1, a2, a3, a4, a6, u, r, s, t, field, user):
-    minimal = _small_integral_model(a1, a2, a3, a4, a6)
-    shown = _shown(minimal, u, r, s, t)
-    # a user record, given in yet other coordinates, over the query's field or over Q
-    records = [] if user is None else [dataio.RankRecord(
-        _shown(minimal, 1, 1, 1, 0), field if user == "query" else fields.RATIONALS, 5, "user")]
-    sources = RankSources(dataset=dataset, user_records=records)
-    answer = _assert_facts_query_matches_the_raw_query(shown, field, sources)
-    if user == "query":
-        assert answer["provenance"] == "user"
+@given(st.booleans(), st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
+       st.integers(-30, 30), st.integers(-60, 60), st.integers(1, 2),
+       st.sampled_from(SHORTCUT_FIELDS))
+@example(True, 0, 0, 0, -4, 6, 1, fields.quadratic_field(6))  # a twist not minimal at 2
+@example(True, 0, 0, 0, 1, -10, 3, fields.quadratic_field(-1))  # point-search twist
+@example(False, 0, 1, 1, -2, 0, 2, fields.kummer_layer(3, 7))  # unsupported field
+def test_rank_records_hold_their_witnesses(dataset, short, a1, a2, a3, a4, a6, u, field):
+    model = _small_integral_model(*((0, 0, 0) if short else (a1, a2, a3)), a4, a6)
+    answer = _checked_rank_over(_shown(model, u, 0, 0, 0), field, RankSources(dataset=dataset))
+    if short and (a4, a6, field) == (-4, 6, fields.quadratic_field(6)):
+        twisted = answer.summands[1]  # the short twist [0,0,0,-144,1296] holds neither witness
+        assert (twisted.model, twisted.witness_points) == (
+            WeierstrassModel.from_list([0, 0, 1, -9, 20]), ((0, 4), (-2, 5)))
 
 
-def test_facts_query_matches_the_raw_query_on_the_bundled_rows(dataset):
+def test_rank_over_reaches_every_tier_on_the_bundled_rows(dataset):
     sources = RankSources(dataset=dataset)
     tiers = set()
     for rec in dataset.records:
         for field in SHORTCUT_FIELDS:
-            answer = _assert_facts_query_matches_the_raw_query(
-                _shown(rec.model, 2, 1, 0, 1), field, sources)
-            if isinstance(answer, dict):
-                tiers |= {answer["provenance"]} | {s["provenance"] for s in answer.get(
-                    "summands", ())}
+            answer = _checked_rank_over(_shown(rec.model, 2, 1, 0, 1), field, sources)
+            if answer is not None:
+                tiers |= {answer.provenance} | {s.provenance for s in answer.summands}
     assert tiers == {"dataset", "twist-decomposition", "point-search-lower-bound"}

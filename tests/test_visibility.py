@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -144,6 +145,20 @@ def test_improv_certifies_with_user_ranks(dataset):
         assert cert.overall == "certified"
         assert cert.conclusion["min_visible_order"] == 9
         assert [r["provenance"] for r in cert.rank_provenance] == ["user", "user"]
+
+
+def test_improv_rank_witnesses_lie_on_their_curves(dataset):
+    # A twists to [0,0,0,-144,1296], not minimal at 2; its witnesses lie on [0,0,1,-9,20]
+    cert = verify_scenario(scenario_from_dict({
+        "schema_version": 1, "name": "improv-6", "theorem": "improv", "p": 3,
+        "curve_a": [0, 0, 0, -4, 6], "curve_b": [0, 0, 0, 1, -10],
+        "field_k": {"kind": "quadratic", "d": 6}, "options": {"congruence_bound": 20},
+    }), dataset)
+    witnessed = [(curves.WeierstrassModel.from_list(r["curve"]), tuple(map(Fraction, pt)))
+                 for top in cert.rank_provenance for r in (top, *top.get("summands", ()))
+                 for pt in r.get("witness_points", ())]
+    assert (curves.WeierstrassModel.from_list([0, 0, 1, -9, 20]), (0, 4)) in witnessed
+    assert all(dataio.point_on_curve(model, pt) for model, pt in witnessed), witnessed
 
 
 def test_nontrivial1_203_over_quadratic_field(dataset):
